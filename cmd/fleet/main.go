@@ -1,7 +1,6 @@
 // Command fleet runs the fleet supervisor: N PowerDial runtime
 // instances across M simulated machines under a cluster-wide power
-// budget, driven by the deterministic discrete-event scheduler (or the
-// legacy bulk-synchronous quantum loop with -timeline quantum), fed by
+// budget, driven by the deterministic discrete-event scheduler, fed by
 // an open-loop load generator whose arrivals land at exponentially
 // spaced virtual instants.
 //
@@ -55,10 +54,9 @@ func main() {
 	rate := flag.Float64("rate", 6, "mean arrivals per quantum (constant/ramp/spike)")
 	reqIters := flag.Int("req-iters", 0, "iterations per request work item (0 = whole stream)")
 	seed := flag.Int64("seed", 1, "load generator seed")
-	timeline := flag.String("timeline", "event", "execution engine: event | quantum")
-	workers := flag.Int("workers", 0, "event-engine shard workers: 0 = GOMAXPROCS, 1 = single-heap reference engine, N>1 = sharded engine with an N-worker pool (bit-identical results at any value; -trace row order is engine-specific)")
-	fluid := flag.Int("fluid", 0, "hybrid fluid/discrete engine: instances whose queue reaches this depth leave the event timeline and drain analytically until the backlog falls below half the threshold (0 = pure discrete; event timeline only)")
-	epoch := flag.Bool("epoch", false, "batch join-shortest-queue dispatch per coordinator window instead of per arrival (event timeline; pairs with -fluid for thousand-host runs)")
+	workers := flag.Int("workers", 0, "shard worker pool size: 0 = GOMAXPROCS, 1 = run the per-host shards inline on one goroutine, N>1 = an N-worker pool (bit-identical results at any value)")
+	fluid := flag.Int("fluid", 0, "hybrid fluid/discrete engine: instances whose queue reaches this depth leave the event timeline and drain analytically until the backlog falls below half the threshold (0 = pure discrete)")
+	epoch := flag.Bool("epoch", false, "batch join-shortest-queue dispatch per coordinator window instead of per arrival")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	plotPath := flag.String("plot", "", "with -replay or -sweep: also render an SVG figure (replay timeline / sweep trend panels) here")
 	feedforward := flag.Bool("feedforward", false, "replay: clamp autoscaler proposals to ±1 of the M/D/1 planner at the smoothed arrival rate (model-informed damping)")
@@ -110,7 +108,7 @@ func main() {
 		machines: *machines, cores: *cores, instances: *instances, rounds: *rounds,
 		budget: *budget, dropTo: *dropTo, dropAt: *dropAt, dropFrac: *dropFrac,
 		load: *load, rate: *rate, reqIters: *reqIters, seed: *seed,
-		timeline: *timeline, workers: *workers, fluid: *fluid, epoch: *epoch,
+		workers: *workers, fluid: *fluid, epoch: *epoch,
 		feedforward: *feedforward,
 		latency:     *latency, tracePath: *tracePath, plotPath: *plotPath,
 		replayPath: *replayPath, ratesPath: *ratesPath, scenarioPath: *scenarioPath,
@@ -131,26 +129,26 @@ func main() {
 }
 
 type options struct {
-	app, scale, load, timeline, tracePath string
-	replayPath, ratesPath, scenarioPath   string
-	faultsPath, resiliencePath, plotPath  string
-	sweepPath, outPath                    string
-	serveAddr, latencyHist                string
-	machines, cores, instances, rounds    int
-	dropAt, reqIters, workers, fluid      int
-	scaleMin, scaleMax, procs, reps       int
-	admitQueue                            int
-	epoch                                 bool
-	budget, dropTo, dropFrac, rate        float64
-	sloP95, swarm                         float64
-	duration                              time.Duration
-	seed                                  int64
-	latency                               bool
-	feedforward                           bool
-	twin                                  bool
-	hdr                                   bool
-	instancesSet                          bool // -instances given explicitly
-	roundsSet                             bool // -rounds given explicitly
+	app, scale, load, tracePath          string
+	replayPath, ratesPath, scenarioPath  string
+	faultsPath, resiliencePath, plotPath string
+	sweepPath, outPath                   string
+	serveAddr, latencyHist               string
+	machines, cores, instances, rounds   int
+	dropAt, reqIters, workers, fluid     int
+	scaleMin, scaleMax, procs, reps      int
+	admitQueue                           int
+	epoch                                bool
+	budget, dropTo, dropFrac, rate       float64
+	sloP95, swarm                        float64
+	duration                             time.Duration
+	seed                                 int64
+	latency                              bool
+	feedforward                          bool
+	twin                                 bool
+	hdr                                  bool
+	instancesSet                         bool // -instances given explicitly
+	roundsSet                            bool // -rounds given explicitly
 }
 
 // workloadFor builds the per-instance app factory and its calibrated
@@ -219,15 +217,6 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	var tl fleet.Timeline
-	switch o.timeline {
-	case "event":
-		tl = fleet.TimelineEvent
-	case "quantum":
-		tl = fleet.TimelineQuantum
-	default:
-		return fmt.Errorf("unknown timeline %q (event | quantum)", o.timeline)
-	}
 	const quantum = time.Second
 	sup, err := fleet.New(fleet.Config{
 		Machines:        o.machines,
@@ -236,7 +225,6 @@ func run(o options) error {
 		Profile:         prof,
 		Budget:          o.budget,
 		Quantum:         quantum,
-		Timeline:        tl,
 		Workers:         o.workers,
 		EpochDispatch:   o.epoch,
 		Fluid:           o.fluid,
@@ -272,8 +260,7 @@ func run(o options) error {
 
 	if o.dropTo != 0 {
 		// The budget change lands dropFrac of the way into round
-		// dropAt: a mid-quantum cap event on the event timeline, the
-		// nearest boundary in quantum mode.
+		// dropAt: a mid-quantum cap event.
 		at := time.Unix(0, 0).
 			Add(time.Duration(o.dropAt) * quantum).
 			Add(time.Duration(o.dropFrac * float64(quantum)))
@@ -284,8 +271,8 @@ func run(o options) error {
 	if faulted {
 		chaos = fmt.Sprintf(", faults from %s", o.faultsPath)
 	}
-	fmt.Printf("fleet: %d instances of %s on %d machines x %d cores, budget %s, %s load, %s timeline%s\n",
-		o.instances, o.app, o.machines, o.cores, watts(o.budget), o.load, o.timeline, chaos)
+	fmt.Printf("fleet: %d instances of %s on %d machines x %d cores, budget %s, %s load%s\n",
+		o.instances, o.app, o.machines, o.cores, watts(o.budget), o.load, chaos)
 	fmt.Printf("target heart rate: %.1f beats/sec per instance\n\n", sup.Target().Goal())
 	fmt.Printf("%5s | %7s | %7s | %-14s | %5s | %6s | %5s | %4s | %-17s\n",
 		"round", "budget", "power W", "GHz per host", "perf", "loss %", "queue", "done", "p50/p95/p99 s")
@@ -373,15 +360,6 @@ func runReplay(o options) error {
 	if err != nil {
 		return err
 	}
-	var tl fleet.Timeline
-	switch o.timeline {
-	case "event":
-		tl = fleet.TimelineEvent
-	case "quantum":
-		tl = fleet.TimelineQuantum
-	default:
-		return fmt.Errorf("unknown timeline %q (event | quantum)", o.timeline)
-	}
 	if o.reqIters <= 0 {
 		// Replay queues per-iteration work items so latency percentiles
 		// reflect queueing at request granularity.
@@ -395,7 +373,6 @@ func runReplay(o options) error {
 		Profile:         prof,
 		Budget:          o.budget,
 		Quantum:         quantum,
-		Timeline:        tl,
 		Workers:         o.workers,
 		EpochDispatch:   o.epoch,
 		Fluid:           o.fluid,

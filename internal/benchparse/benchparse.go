@@ -31,10 +31,12 @@ type testEvent struct {
 	Output string `json:"Output"`
 }
 
-// resultRe matches one benchmark result line. test2json splits lines
-// across Output events mid-field, so Parse matches against the
-// reassembled text, not per event.
-var resultRe = regexp.MustCompile(`(?m)^(Benchmark[^\s]+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// resultRe matches one benchmark result line up to ns/op; the rest of
+// the line holds further "value unit" pairs — B/op, allocs/op, and any
+// b.ReportMetric extras, which go test prints between ns/op and B/op.
+// test2json splits lines across Output events mid-field, so Parse
+// matches against the reassembled text, not per event.
+var resultRe = regexp.MustCompile(`(?m)^(Benchmark[^\s]+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
 
 // Parse reads benchmark results, auto-detecting the format: lines that
 // decode as test2json events contribute their Output payloads, and the
@@ -67,11 +69,14 @@ func Parse(r io.Reader) ([]Result, error) {
 		res := Result{Name: m[1], BytesPerOp: -1, AllocsPerOp: -1}
 		res.N, _ = strconv.Atoi(m[2])
 		res.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
-		if m[4] != "" {
-			res.BytesPerOp, _ = strconv.ParseFloat(m[4], 64)
-		}
-		if m[5] != "" {
-			res.AllocsPerOp, _ = strconv.ParseFloat(m[5], 64)
+		rest := strings.Fields(m[4])
+		for i := 0; i+1 < len(rest); i += 2 {
+			switch rest[i+1] {
+			case "B/op":
+				res.BytesPerOp, _ = strconv.ParseFloat(rest[i], 64)
+			case "allocs/op":
+				res.AllocsPerOp, _ = strconv.ParseFloat(rest[i], 64)
+			}
 		}
 		out = append(out, res)
 	}

@@ -166,6 +166,16 @@ BenchmarkDup-8 	 10	 200 ns/op
 			},
 		},
 		{
+			"custom metrics between ns/op and B/op are skipped",
+			"BenchmarkFluid-8 \t 20\t 676313 ns/op\t 85.00 fluid-insts\t 36983 B/op\t 94 allocs/op\n",
+			1,
+			func(t *testing.T, res []Result) {
+				if r := res[0]; r.NsPerOp != 676313 || r.BytesPerOp != 36983 || r.AllocsPerOp != 94 {
+					t.Errorf("bad result: %+v", r)
+				}
+			},
+		},
+		{
 			"result line without iteration count does not match",
 			"BenchmarkBroken-8 \t ns/op\nBenchmarkAlso 12.5 ns/op\n",
 			0, nil,

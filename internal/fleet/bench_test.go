@@ -9,9 +9,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Benchmarks for the fleet engines: one iteration simulates a 10-round
-// saturated 8-instance run (the demo shape) on each timeline, plus an
-// open-loop work-item run exercising arrival events and queueing. CI's
+// Benchmarks for the fleet engine: one iteration simulates a 10-round
+// saturated 8-instance run (the demo shape), plus an open-loop
+// work-item run exercising arrival events and queueing. CI's
 // bench-smoke step records these into BENCH_fleet.json so the perf
 // trajectory of the event scheduler is tracked over time.
 
@@ -24,7 +24,7 @@ func benchProfile(b *testing.B) *calibrate.Profile {
 	return prof
 }
 
-func benchFleet(b *testing.B, prof *calibrate.Profile, tl Timeline, gen *LoadGen, rounds int) {
+func benchFleet(b *testing.B, prof *calibrate.Profile, gen *LoadGen, rounds int) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -34,10 +34,9 @@ func benchFleet(b *testing.B, prof *calibrate.Profile, tl Timeline, gen *LoadGen
 			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
 			Profile:         prof,
 			Budget:          400,
-			Timeline:        tl,
-			// Pin the single-heap engine so this A/B series keeps its
-			// historical meaning on multi-core runners; the sharded
-			// engine has its own series (BenchmarkFleetScale).
+			// Run the shards inline so this series keeps its
+			// single-thread meaning on multi-core runners; the worker
+			// pool has its own series (BenchmarkFleetScale).
 			Workers: 1,
 		})
 		if err != nil {
@@ -59,15 +58,7 @@ func benchFleet(b *testing.B, prof *calibrate.Profile, tl Timeline, gen *LoadGen
 func BenchmarkFleetEventTimeline(b *testing.B) {
 	prof := benchProfile(b)
 	b.ResetTimer()
-	benchFleet(b, prof, TimelineEvent, NewSaturatingLoad(2), 10)
-}
-
-// BenchmarkFleetQuantumTimeline is the legacy bulk-synchronous loop on
-// the same scenario, the A/B baseline for the event engine's overhead.
-func BenchmarkFleetQuantumTimeline(b *testing.B) {
-	prof := benchProfile(b)
-	b.ResetTimer()
-	benchFleet(b, prof, TimelineQuantum, NewSaturatingLoad(2), 10)
+	benchFleet(b, prof, NewSaturatingLoad(2), 10)
 }
 
 // BenchmarkFleetEventWorkItems drives Poisson work-item arrivals
@@ -76,28 +67,25 @@ func BenchmarkFleetQuantumTimeline(b *testing.B) {
 func BenchmarkFleetEventWorkItems(b *testing.B) {
 	prof := benchProfile(b)
 	b.ResetTimer()
-	benchFleet(b, prof, TimelineEvent, NewConstantLoad(3, 12).WithRequestIters(10), 10)
+	benchFleet(b, prof, NewConstantLoad(3, 12).WithRequestIters(10), 10)
 }
 
 // BenchmarkFleetScale is the hundred-host scaling benchmark: one
 // saturated instance per host under a binding cluster budget, one
-// iteration simulating 3 rounds, across fleet sizes and engines.
-// workers=1 is the single-heap reference engine (one global heap over
-// every beat of every instance); workers=4 is the sharded engine
-// (per-host event queues, a 4-worker pool between barriers). CI's
-// bench-smoke step records every variant into BENCH_fleet.json, so the
-// single-heap vs sharded trajectory is tracked per commit at 8, 32,
-// and 128 hosts. On a single-core runner the sharded engine's win is
-// algorithmic only (tiny per-host queues and the peek-ahead fast path
-// instead of a fleet-wide heap); with real cores the worker pool adds
-// parallel speedup on top.
+// op one steady-state round, across fleet sizes and worker counts.
+// workers=1 runs the per-host shards inline on the benchmark goroutine;
+// workers=4 fans them out to a 4-worker pool between barriers. CI's
+// bench-smoke step records every variant, so the inline vs pooled
+// trajectory is tracked per commit at 8, 32, and 128 hosts. On a
+// single-core runner the two legs coincide; with real cores the worker
+// pool adds parallel speedup.
 func BenchmarkFleetScale(b *testing.B) {
 	prof := benchProfile(b)
 	for _, hosts := range []int{8, 32, 128} {
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("hosts=%d/workers=%d", hosts, workers), func(b *testing.B) {
-				// Fleet construction is identical for both engines and
-				// would dilute the engine ratio, so it sits outside the
+				// Fleet construction is identical at both worker counts
+				// and would dilute the ratio, so it sits outside the
 				// timer; one op is one steady-state saturated round.
 				sup, err := New(Config{
 					Machines:        hosts,
@@ -130,49 +118,68 @@ func BenchmarkFleetScale(b *testing.B) {
 		}
 	}
 	// The thousand-host leg runs the hybrid configuration (open-loop
-	// load, epoch dispatch, fluid threshold — see BenchmarkFleetScaleFluid
-	// for the 128-host discrete/fluid A/B): a saturated pure-discrete
-	// fleet at this size would be benchmarking the event flood the fluid
-	// engine exists to collapse.
+	// load, split dispatch, fluid threshold — see BenchmarkFleetScaleFluid
+	// for the discrete/fluid A/B): a saturated pure-discrete fleet at
+	// this size would be benchmarking the event flood the fluid engine
+	// exists to collapse.
 	b.Run("hosts=1024/workers=4", func(b *testing.B) {
 		benchFluidScale(b, prof, 1024, 4)
 	})
 }
 
-// benchFluidScale drives one hybrid-engine scale leg: one open-loop
-// instance per host at ~0.9 utilization (deep queues), join-shortest-
-// queue routing batched per arbiter window (EpochDispatch — exact JSQ
-// arrivals would make every arrival a global barrier), and the fluid
-// threshold engaged, so backlogged hosts drain analytically instead of
-// event by event. Allocations per round stay sub-linear in hosts
-// because fluid completions never materialize sessions, and wall-clock
-// per round scales with the discrete residue rather than the full
-// event count.
-func benchFluidScale(b *testing.B, prof *calibrate.Profile, hosts, workers int) {
+// fluidScaleFleet builds and warms one leg of the fluid A/B: one
+// open-loop instance per host at ~0.9 utilization under a non-binding
+// budget (steady DVFS keeps flows fluid), dispatched by SplitDispatch.
+// The split matters: each host is then an independent M/D/1 station
+// whose queue really does reach the threshold, whereas pooled
+// join-shortest-queue at this load holds every queue at depth 1-2 and
+// fluid mode never engages. Eight warm-up rounds bring the fleet to
+// steady state, with roughly half the instances fluid when fluid > 0.
+func fluidScaleFleet(tb testing.TB, prof *calibrate.Profile, hosts, fluid int) (*Supervisor, *LoadGen) {
+	tb.Helper()
 	sup, err := New(Config{
 		Machines:        hosts,
 		CoresPerMachine: 1,
 		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
 		Profile:         prof,
-		Budget:          float64(hosts) * 210, // non-binding: steady DVFS keeps flows fluid
-		Workers:         workers,
+		Budget:          float64(hosts) * 210,
+		Workers:         4,
 		ControlDisabled: true,
-		EpochDispatch:   true,
-		Fluid:           4,
+		SplitDispatch:   true,
+		Fluid:           fluid,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for j := 0; j < hosts; j++ {
 		if _, err := sup.StartInstance(-1); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	// ~0.9 rho per host at the 0.25 s work-item service time.
 	gen := NewConstantLoad(17, 3.6*float64(hosts)).WithRequestIters(10)
-	if err := sup.Run(gen, 2); err != nil { // warm to steady state
-		b.Fatal(err)
+	if err := sup.Run(gen, 8); err != nil {
+		tb.Fatal(err)
 	}
+	return sup, gen
+}
+
+// fluidInstances counts the instances currently on the fluid timeline.
+func fluidInstances(sup *Supervisor) int {
+	n := 0
+	for _, inst := range sup.insts {
+		if inst.fluid {
+			n++
+		}
+	}
+	return n
+}
+
+// benchFluidScale times steady-state rounds of one fluid A/B leg and
+// reports how many instances ended the run fluid, so a leg that never
+// engages fluid mode cannot pass for a fluid measurement.
+func benchFluidScale(b *testing.B, prof *calibrate.Profile, hosts, fluid int) {
+	sup, gen := fluidScaleFleet(b, prof, hosts, fluid)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -180,18 +187,20 @@ func benchFluidScale(b *testing.B, prof *calibrate.Profile, hosts, workers int) 
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(fluidInstances(sup)), "fluid-insts")
 }
 
-// BenchmarkFleetScaleFluid is the 128-host hybrid leg — the discrete/
-// fluid A/B against BenchmarkFleetScale/hosts=128 (same host count,
-// open-loop hybrid configuration; see benchFluidScale). CI's
-// bench-smoke step records it into BENCH_fleet.json next to the
-// discrete series.
+// BenchmarkFleetScaleFluid is the discrete/fluid A/B: the same scenario
+// (fluidScaleFleet) at Fluid 0 and Fluid 4, at 128 and 1024 hosts.
 func BenchmarkFleetScaleFluid(b *testing.B) {
 	prof := benchProfile(b)
-	b.Run("hosts=128/workers=4", func(b *testing.B) {
-		benchFluidScale(b, prof, 128, 4)
-	})
+	for _, hosts := range []int{128, 1024} {
+		for _, fluid := range []int{0, 4} {
+			b.Run(fmt.Sprintf("hosts=%d/workers=4/fluid=%d", hosts, fluid), func(b *testing.B) {
+				benchFluidScale(b, prof, hosts, fluid)
+			})
+		}
+	}
 }
 
 // BenchmarkFleetScenarioMix is the heterogeneous two-group benchmark:
@@ -243,18 +252,19 @@ func BenchmarkFleetScenarioMix(b *testing.B) {
 	}
 }
 
-// BenchmarkEventQueue isolates the scheduler's heap: push/pop of a
-// round's worth of interleaved events.
+// BenchmarkEventQueue isolates the scheduler's heap — the shard-local
+// queue every beat goes through: push/pop of a round's worth of
+// interleaved events.
 func BenchmarkEventQueue(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := &Supervisor{}
+		sh := &shard{}
 		base := time.Unix(0, 0)
 		for j := 0; j < 1024; j++ {
-			s.push(&event{at: base.Add(time.Duration((j * 7919) % 1000 * int(time.Millisecond))), kind: evServe})
+			sh.push(&event{at: base.Add(time.Duration((j * 7919) % 1000 * int(time.Millisecond))), kind: evServe})
 		}
-		for len(s.eq) > 0 {
-			s.pop()
+		for len(sh.eq) > 0 {
+			sh.popHeap()
 		}
 	}
 }

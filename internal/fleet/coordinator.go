@@ -1,16 +1,15 @@
 package fleet
 
-// This file is the coordinator half of the sharded parallel event
-// engine. The round is cut into windows bounded by the global events
-// that couple hosts — arbiter ticks, cap landings, fault landings and
-// recoveries, placement landings, and join-shortest-queue arrivals
-// (which need global queue depths).
+// This file is the coordinator half of the event engine. The round is
+// cut into windows bounded by the global events that couple hosts —
+// arbiter ticks, cap landings, fault landings and recoveries, placement
+// landings, and join-shortest-queue arrivals (which need global queue
+// depths).
 // Between consecutive barriers no host can influence another, so every
 // shard advances through the window independently on a bounded worker
 // pool (Config.Workers); at each barrier the coordinator flushes shard
 // trace buffers in host-index order, applies the barrier's events in
-// the same kind order the single-heap engine uses, and releases the
-// next window.
+// evKind order, and releases the next window.
 //
 // Two couplings do not sit at statically known instants and are handled
 // specially:
@@ -26,8 +25,8 @@ package fleet
 //     Conservative lookahead therefore collapses for any window in
 //     which a live draining instance exists: such windows run serially,
 //     merging shard queues by (instant, kind, host index, seq) — the
-//     canonical order that keeps results bit-identical to the
-//     single-heap engine. Windows without live drains (the common case,
+//     canonical order that keeps results bit-identical at every
+//     Workers value. Windows without live drains (the common case,
 //     and the entire saturating benchmark) run fully parallel.
 
 import (
@@ -38,22 +37,23 @@ import (
 	"time"
 )
 
-// stepSharded advances the fleet by one reporting quantum on the
-// sharded event timeline. It mirrors stepEvent exactly — same round
-// seeding, same kind ordering, same accounting — with the single heap
-// replaced by per-host shards synchronized at global-event barriers.
+// stepSharded advances the fleet by one reporting quantum: it seeds the
+// round's events (arbiter ticks, scheduled cap, fault, and placement
+// changes, arrival instants, service continuations), advances the
+// per-host shards window by window between global-event barriers in
+// deterministic virtual-time order, and closes the round.
 func (s *Supervisor) stepSharded(gen *LoadGen) (RoundStats, error) {
 	s.retireDone()
 	start := s.Now()
 	end := start.Add(s.cfg.Quantum)
 
-	// The round seeds through the shared seedRound (so the engines
-	// cannot drift apart): global events — ticks, due caps and
+	// The round seeds through seedRound (shared with the test oracle,
+	// so the two cannot drift apart): global events — ticks, due caps and
 	// placements, and join-shortest-queue arrival instants — collect
 	// into the coordinator's barrier list, while SplitDispatch arrivals
 	// bypass it (they are pre-routed per window below) and instances
-	// wake on their hosts' shards. A stable sort by (at, kind)
-	// reproduces the single-heap ordering for simultaneous events.
+	// wake on their hosts' shards. A stable sort by (at, kind) is the
+	// canonical ordering for simultaneous events.
 	preRoute := s.cfg.SplitDispatch || s.cfg.EpochDispatch
 	globals, splitArrivals := s.globalScratch[:0], s.arrScratch[:0]
 	emit := func(ev *event) {
@@ -74,7 +74,7 @@ func (s *Supervisor) stepSharded(gen *LoadGen) (RoundStats, error) {
 	// Each group's arrivals are emitted time-sorted but group-major;
 	// the pre-route loop below consumes them strictly by instant, so
 	// interleave the groups' streams (stable: simultaneous arrivals
-	// keep emission order, which is the single-heap seq order).
+	// keep emission order, the canonical seq order).
 	sort.SliceStable(splitArrivals, func(i, j int) bool {
 		return splitArrivals[i].at.Before(splitArrivals[j].at)
 	})
@@ -89,8 +89,8 @@ func (s *Supervisor) stepSharded(gen *LoadGen) (RoundStats, error) {
 		}
 		// Pre-route fast path: hand this window's arrivals to their
 		// target shards as local events, in arrival order. Under
-		// SplitDispatch the target is the seeded uniform draw (so the
-		// RNG sequence matches the single-heap engine draw for draw);
+		// SplitDispatch the target is the seeded uniform draw (in arrival
+		// order, so the RNG sequence is the same at any Workers value);
 		// under EpochDispatch it is sequential join-shortest-queue
 		// against the window-start depth snapshot — a (depth, lower id)
 		// min-heap per group, each assignment bumping its target's
@@ -103,8 +103,7 @@ func (s *Supervisor) stepSharded(gen *LoadGen) (RoundStats, error) {
 			grpAcc := acc[ev.req.Group]
 			if len(grpAcc) == 0 {
 				// Nothing in the group accepts: the request queues
-				// fleet-wide, like the single-heap dispatch returning
-				// nil (no RNG draw).
+				// fleet-wide, like dispatch returning nil (no RNG draw).
 				s.record(TraceEvent{At: ev.at, Kind: TraceArrival, Instance: -1, Host: -1, State: -1, Group: s.groups[ev.req.Group].name})
 				s.pending = append(s.pending, ev.req)
 				s.recycleEvent(ev)
@@ -144,7 +143,7 @@ func (s *Supervisor) stepSharded(gen *LoadGen) (RoundStats, error) {
 				// Fault landings and recoveries are barriers: every shard
 				// has advanced to this instant, so displacing a crashed
 				// host's work (and re-offering it to the survivors) sees
-				// exact queue state — the same order stepEvent realizes.
+				// exact queue state.
 				s.landFault(g.at, g.fault)
 				s.arbitrate(g.at)
 				acc = s.acceptingByGroup()
@@ -468,13 +467,13 @@ func (s *Supervisor) drainingShards() []*shard {
 // the global trace: buffers concatenate in host-index order, then the
 // window's batch stable-sorts by instant — deterministic for any
 // Workers value, with per-shard relative order preserved at equal
-// instants. Trace ROW ORDER is the one observable the sharded engine
-// does not reproduce byte-for-byte from the single-heap engine: both
-// engines emit the same trace as a multiset (the differential tests
-// compare canonically sorted traces), but simultaneous events of
-// different hosts interleave in engine-specific (deterministic) order,
-// and a completion whose beat overran the window boundary books late
-// on both engines.
+// instants. Trace ROW ORDER is the one observable the engine does not
+// reproduce byte-for-byte from the single-heap test oracle: both emit
+// the same trace as a multiset (the differential tests compare
+// canonically sorted traces), but simultaneous events of different
+// hosts interleave in engine-specific (deterministic) order, and a
+// completion whose beat overran the window boundary books late on
+// both.
 func (s *Supervisor) flushShardTraces() {
 	if !s.cfg.RecordTrace {
 		return

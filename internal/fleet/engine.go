@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -17,12 +16,12 @@ import (
 // their budget share before new work is delivered), arrivals are
 // delivered before service continuations at the same instant, and
 // everything is FIFO within a kind (seq). The kind order is the
-// canonical tie-break both engines share: the sharded engine merges
-// per-shard queues by (instant, kind, host index, per-shard seq), and
-// every same-instant same-kind pair commutes (serves touch disjoint
-// instances, retirements re-arbitrate idempotently, simultaneous
-// faults land in stable schedule order on both engines), so the
-// single-heap and sharded engines produce bit-identical results.
+// canonical tie-break: the coordinator merges per-shard queues by
+// (instant, kind, host index, per-shard seq), and every same-instant
+// same-kind pair commutes (serves touch disjoint instances, retirements
+// re-arbitrate idempotently, simultaneous faults land in stable
+// schedule order), so the engine is bit-identical to the single-heap
+// test oracle (refengine_test.go) at every Workers value.
 type evKind int8
 
 const (
@@ -51,8 +50,8 @@ type event struct {
 	kind  evKind
 }
 
-// eventLess is the deterministic (at, kind, seq) order shared by the
-// single-heap queue and each shard's local queue.
+// eventLess is the deterministic (at, kind, seq) order of each shard's
+// local queue (and of the test oracle's single heap).
 func eventLess(a, b *event) bool {
 	if !a.at.Equal(b.at) {
 		return a.at.Before(b.at)
@@ -63,11 +62,11 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// engineSink is where the shared service path (serve) publishes its
-// side effects, so one implementation drives both engines: the
-// single-heap Supervisor pushes into the global queue and records into
-// the global trace; a shard of the parallel engine pushes into its own
-// queue and buffers trace events locally (merged at the next barrier).
+// engineSink is where the shared service path (serve, fluid.go)
+// publishes its side effects: a shard pushes into its own queue and
+// buffers trace events locally (merged at the next barrier). The
+// interface exists so the single-heap test oracle can substitute its
+// global queue and drive the very same serve path.
 type engineSink interface {
 	// activate schedules the instance's next service continuation at t.
 	activate(inst *Instance, t time.Time)
@@ -83,22 +82,6 @@ type engineSink interface {
 	// subsequent drain point (global events, window barriers, round
 	// closes) until it re-materializes.
 	registerFluid(inst *Instance)
-}
-
-// eventQueue is a deterministic min-heap over (at, kind, seq).
-type eventQueue []*event
-
-func (q eventQueue) Len() int            { return len(q) }
-func (q eventQueue) Less(i, j int) bool  { return eventLess(q[i], q[j]) }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
 }
 
 // newEvent pops a recycled event from the supervisor's free list — the
@@ -131,41 +114,6 @@ func (s *Supervisor) mkEvent(at time.Time, kind evKind) *event {
 func (s *Supervisor) recycleEvent(ev *event) {
 	*ev = event{}
 	s.evFree = append(s.evFree, ev)
-}
-
-// push enqueues an event, stamping the deterministic FIFO sequence.
-func (s *Supervisor) push(ev *event) {
-	ev.seq = s.seq
-	s.seq++
-	heap.Push(&s.eq, ev)
-}
-
-// pop dequeues the earliest event.
-func (s *Supervisor) pop() *event {
-	return heap.Pop(&s.eq).(*event)
-}
-
-// activate schedules a service continuation for the instance at virtual
-// time t unless one is already queued. Idle instances are re-activated
-// by arrivals; serving instances schedule their own next beat.
-func (s *Supervisor) activate(inst *Instance, t time.Time) {
-	// Fluid instances have no discrete continuations: their backlog
-	// drains analytically until they re-materialize (fluid.go).
-	if inst.retired || inst.scheduled || inst.fluid {
-		return
-	}
-	inst.scheduled = true
-	ev := s.mkEvent(t, evServe)
-	ev.inst = inst
-	s.push(ev)
-}
-
-// scheduleRetire enqueues a drain retirement on the global queue
-// (single-heap engineSink).
-func (s *Supervisor) scheduleRetire(inst *Instance, t time.Time) {
-	ev := s.mkEvent(t, evRetire)
-	ev.inst = inst
-	s.push(ev)
 }
 
 // closeSegment integrates one host's power over a segment of constant
@@ -261,8 +209,6 @@ func (s *Supervisor) serve(now time.Time, inst *Instance, sink engineSink) error
 	if inst.sess == nil {
 		if len(inst.queue) == 0 {
 			if inst.selfFeed {
-				// Self-feed mints run on the event loop (or its shard),
-				// so (unlike quantum mode) they can be traced.
 				req := inst.takeRequest()
 				req.ID, req.Group, req.StreamIdx, req.Iters, req.Arrival = -1, inst.grp.index, inst.feedIdx, inst.reqIters, inst.clk.Now()
 				inst.queue = append(inst.queue, req)
@@ -313,13 +259,13 @@ func (s *Supervisor) serve(now time.Time, inst *Instance, sink engineSink) error
 	return nil
 }
 
-// seedRound assembles one round's inputs, shared by both event
-// engines so their bit-identity cannot rot in two hand-synchronized
-// copies. Global events — arbiter ticks, due cap and placement changes
+// seedRound assembles one round's inputs, shared with the test oracle
+// so their bit-identity cannot rot in two hand-synchronized copies.
+// Global events — arbiter ticks, due cap and placement changes
 // (past-due ones clamp to the round start; due* returns them in
 // virtual-time order so the latest-scheduled change wins a tie), and
-// open-loop arrival instants — are handed to emit in the single-heap
-// push order (ticks, caps, places, then each group's arrivals in
+// open-loop arrival instants — are handed to emit in canonical push
+// order (ticks, caps, places, then each group's arrivals in
 // declaration order; caps at the same instant still sort ahead of the
 // tick by kind, so a cap always lands before the arbitration that must
 // honor it). Offered load is delivered the shared way, one stream per
@@ -358,7 +304,7 @@ func (s *Supervisor) seedRound(gen *LoadGen, start, end time.Time, emit func(*ev
 	if s.faultOpts != nil {
 		// The fault model emits once per round; landings and recoveries
 		// both pre-schedule (a fault's duration is known at emission), so
-		// neither engine ever has to insert a barrier mid-window.
+		// the coordinator never has to insert a barrier mid-window.
 		for _, fe := range s.faultOpts.Model.Events(s.round, start, s.cfg.Quantum, len(s.hosts)) {
 			s.scheduleFault(fe)
 		}
@@ -450,99 +396,8 @@ func (s *Supervisor) seedRound(gen *LoadGen, start, end time.Time, emit func(*ev
 	return arrivals, acc
 }
 
-// stepEvent advances the fleet by one reporting quantum on the event
-// timeline: it seeds the round's events (arbiter ticks, scheduled cap
-// changes, Poisson arrival instants, service continuations), pumps the
-// queue in deterministic virtual-time order, and closes the round.
-func (s *Supervisor) stepEvent(gen *LoadGen) (RoundStats, error) {
-	s.retireDone()
-	start := s.Now()
-	end := start.Add(s.cfg.Quantum)
-	arrivals, acc := s.seedRound(gen, start, end, func(ev *event) { s.push(ev) }, s.activate)
-
-	for len(s.eq) > 0 && s.eq[0].at.Before(end) {
-		ev := s.pop()
-		if ev.kind != evServe {
-			// Global events (ticks, caps, faults, placements, arrivals,
-			// retirements) observe or mutate fleet-wide state: render
-			// every fluid flow up to this instant first, so queue depths,
-			// utilization, and budget shares are exact when they look.
-			s.drainAllFluid(ev.at)
-			if len(s.eq) > 0 && eventLess(s.eq[0], ev) {
-				// A re-materialized instance scheduled continuations
-				// earlier than this event: put it back — keeping its
-				// sequence stamp, so same-instant FIFO order among its
-				// peers is preserved — and run those beats first, at the
-				// pre-event machine state, exactly as the pure discrete
-				// engine would have.
-				heap.Push(&s.eq, ev)
-				continue
-			}
-		}
-		switch ev.kind {
-		case evCap:
-			s.arb.SetBudget(ev.watts)
-			s.record(TraceEvent{At: ev.at, Kind: TraceCap, Instance: -1, Host: -1, State: -1, Value: ev.watts})
-			s.arbitrate(ev.at)
-		case evFault:
-			// A fault landing or recovery changed the fleet (a host died
-			// or rejoined, a clamp moved, the budget sagged): re-divide
-			// the budget at this instant, refresh the accepting sets, and
-			// offer displaced or parked backlog to the survivors.
-			s.landFault(ev.at, ev.fault)
-			s.arbitrate(ev.at)
-			acc = s.acceptingByGroup()
-			s.redispatchPending(acc, s.activate, ev.at)
-		case evPlace:
-			if !s.landPlace(ev.at, ev.place) {
-				break
-			}
-			// Placement changed the fleet: re-divide the budget at the
-			// landing instant (before the next periodic tick), refresh
-			// the per-group accepting sets, and offer any undispatched
-			// backlog to them — a start landing mid-quantum serves from
-			// that instant.
-			s.arbitrate(ev.at)
-			acc = s.acceptingByGroup()
-			s.redispatchPending(acc, s.activate, ev.at)
-		case evTick:
-			s.arbitrate(ev.at)
-		case evRetire:
-			// A drained instance's queue emptied at this instant: retire
-			// it and re-divide the budget the moment the share frees up.
-			// A stop or an earlier retire may have raced it at the same
-			// instant (stops sort first), so re-check.
-			if !ev.inst.retired {
-				s.retireAt(ev.inst, ev.at)
-				s.arbitrate(ev.at)
-			}
-		case evArrival:
-			s.record(TraceEvent{At: ev.at, Kind: TraceArrival, Instance: -1, Host: -1, State: -1, Group: s.groups[ev.req.Group].name})
-			if tgt := s.dispatch(acc[ev.req.Group], ev.req); tgt != nil {
-				s.activate(tgt, ev.at)
-			} else {
-				s.pending = append(s.pending, ev.req)
-			}
-		case evServe:
-			if err := s.serve(ev.at, ev.inst, s); err != nil {
-				return RoundStats{}, err
-			}
-		}
-		// Every handler above is done with the event struct itself (the
-		// carried Request lives on in a queue or the backlog), so it goes
-		// straight back to the free list.
-		s.recycleEvent(ev)
-	}
-	// Render fluid flows to the round boundary so per-round stats and
-	// host energy integrate the full quantum.
-	s.drainAllFluid(end)
-
-	return s.closeEventRound(end, arrivals), nil
-}
-
-// closeEventRound finishes an event-timeline round, on either engine:
-// integrate each host's final power segment, drain the shared per-round
-// counters, and publish the round.
+// closeEventRound finishes a round: integrate each host's final power
+// segment, drain the shared per-round counters, and publish the round.
 func (s *Supervisor) closeEventRound(end time.Time, arrivals int) RoundStats {
 	quantumSec := s.cfg.Quantum.Seconds()
 	rs := RoundStats{Round: s.round, Budget: s.arb.Budget(), Arrivals: arrivals}

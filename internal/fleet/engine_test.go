@@ -218,44 +218,6 @@ func TestEventFleetDeterministic(t *testing.T) {
 	}
 }
 
-// TestQuantumCompatMatchesOracle keeps the legacy bulk-synchronous loop
-// honest: under TimelineQuantum the saturated fleet must still converge
-// to the oracle's steady state within the standard tolerances.
-func TestQuantumCompatMatchesOracle(t *testing.T) {
-	const machines, cores, instances, rounds, warmup = 2, 2, 8, 20, 10
-	sup, err := New(Config{
-		Machines:        machines,
-		CoresPerMachine: cores,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
-		Timeline:        TimelineQuantum,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	insts := startN(t, sup, instances)
-	if err := sup.Run(NewSaturatingLoad(2), rounds); err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := cluster.NewOracle(machines, cores, sup.groups[0].profile, sup.cfg.Power, platform.Frequencies[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := oracle.Predict(instances)
-	if err != nil {
-		t.Fatal(err)
-	}
-	power := sup.MeanPowerOver(warmup, rounds)
-	if math.Abs(power-pred.PowerWatts)/pred.PowerWatts > 0.02 {
-		t.Errorf("quantum-mode mean power = %.1f W, oracle predicts %.1f W", power, pred.PowerWatts)
-	}
-	for _, inst := range insts {
-		if perf := inst.Snapshot().NormPerf; math.Abs(perf-1) > 0.05 {
-			t.Errorf("quantum-mode instance %d normalized perf = %.3f, want 1±0.05", inst.ID(), perf)
-		}
-	}
-}
-
 // TestArbiterLeftoverRotates is the fairness check: with hosts in the
 // same deficit bucket and budget for exactly one extra DVFS step, the
 // host receiving the final step must rotate across consecutive arbiter

@@ -6,9 +6,9 @@ package fleet
 // that clamps DVFS below the arbiter's grant, straggler instances, and
 // power-supply sag landing as mid-window cap scaling. Faults are
 // first-class events in the canonical (instant, kind, host, seq) scheme
-// (evFault, between caps and placements), so both event engines stay
-// bit-identical at any Workers count; every fault landing and recovery
-// re-arbitrates the cluster budget at its exact virtual instant. The
+// (evFault, between caps and placements), so runs stay bit-identical at
+// any Workers count; every fault landing and recovery re-arbitrates
+// the cluster budget at its exact virtual instant. The
 // paper's premise is graceful adaptation when the power envelope moves
 // underneath a running system — this is the layer that moves it
 // adversarially, and Report.Resilience is how recovery is measured.
@@ -319,14 +319,10 @@ type Resilience struct {
 
 // SetFaults wires a fault model into the fleet before the first step —
 // the programmatic form of Scenario.Faults, usable with supervisors
-// built from the single-group Config shim. Faults are an event-timeline
-// feature; quantum mode rejects them.
+// built from the single-group Config shim.
 func (s *Supervisor) SetFaults(opts FaultOptions) error {
 	if opts.Model == nil {
 		return errors.New("fleet: FaultOptions requires a Model")
-	}
-	if !s.eventMode() {
-		return errors.New("fleet: faults require the event timeline (TimelineEvent)")
 	}
 	if s.round != 0 {
 		return fmt.Errorf("fleet: SetFaults requires an unstepped supervisor (already at round %d)", s.round)
@@ -412,10 +408,10 @@ func (s *Supervisor) resolveStraggler(fe FaultEvent) *Instance {
 }
 
 // landFault applies one fault landing or recovery at virtual time at.
-// Callers (both engines' evFault cases) re-arbitrate, refresh accepting
-// sets, and re-offer backlog immediately after, exactly like placement
-// landings — so the same-instant same-kind commutation argument holds
-// and the engines stay bit-identical.
+// The caller (the round loop's evFault case) re-arbitrates, refreshes
+// accepting sets, and re-offers backlog immediately after, exactly like
+// placement landings — so the same-instant same-kind commutation
+// argument holds and results stay bit-identical.
 func (s *Supervisor) landFault(at time.Time, f faultChange) {
 	if f.recover {
 		s.recoverFault(at, f)

@@ -51,8 +51,7 @@ func compareGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestSetFaultsValidation pins the wiring contract: a model is
-// required, quantum mode rejects faults, and wiring after the first
-// step is an error.
+// required and wiring after the first step is an error.
 func TestSetFaultsValidation(t *testing.T) {
 	sup := newTestFleet(t, 1, 1, 0)
 	if err := sup.SetFaults(FaultOptions{}); err == nil {
@@ -64,20 +63,6 @@ func TestSetFaultsValidation(t *testing.T) {
 	}
 	if err := sup.SetFaults(FaultOptions{Model: FaultSchedule{}}); err == nil {
 		t.Error("SetFaults accepted a stepped supervisor")
-	}
-
-	q, err := New(Config{
-		Machines:        1,
-		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
-		Timeline:        TimelineQuantum,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q.SetFaults(FaultOptions{Model: FaultSchedule{}}); err == nil {
-		t.Error("SetFaults accepted the quantum timeline")
 	}
 }
 
@@ -335,21 +320,17 @@ func goldenFaultRun(t *testing.T, workers int) *Supervisor {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	gen := NewConstantLoad(7, 6).WithRequestIters(10)
-	for r := 0; r < 6; r++ {
-		if _, err := sup.Step(gen); err != nil {
-			t.Fatal(err)
-		}
-	}
+	stepRounds(t, engineUnder(sup, workers), NewConstantLoad(7, 6).WithRequestIters(10), 6)
 	return sup
 }
 
 // TestFaultCSVGoldens pins the fault-facing CSV schemas byte for byte:
 // the trace CSV round-trips the fault/throttle/recover kinds through
 // SortTrace in their canonical positions, and the resilience CSV pins
-// one row per landed fault — identically at Workers=1 and Workers=2.
+// one row per landed fault — identically on the refEngine and at
+// Workers=1, 2, and 4.
 func TestFaultCSVGoldens(t *testing.T) {
-	sup := goldenFaultRun(t, 1)
+	sup := goldenFaultRun(t, refWorkers)
 
 	var trace bytes.Buffer
 	if err := WriteTraceCSV(&trace, sup.Trace()); err != nil {
@@ -368,13 +349,22 @@ func TestFaultCSVGoldens(t *testing.T) {
 	}
 	compareGolden(t, "resilience.csv", ril.Bytes())
 
-	sharded := goldenFaultRun(t, 2)
-	var trace2 bytes.Buffer
-	if err := WriteTraceCSV(&trace2, sharded.Trace()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(trace.Bytes(), trace2.Bytes()) {
-		t.Error("trace CSV differs between Workers=1 and Workers=2")
+	for _, workers := range []int{1, 2, 4} {
+		prod := goldenFaultRun(t, workers)
+		var got bytes.Buffer
+		if err := WriteTraceCSV(&got, prod.Trace()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(trace.Bytes(), got.Bytes()) {
+			t.Errorf("trace CSV differs between the refEngine and Workers=%d", workers)
+		}
+		got.Reset()
+		if err := WriteResilienceCSV(&got, prod.Report().Resilience); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ril.Bytes(), got.Bytes()) {
+			t.Errorf("resilience CSV differs between the refEngine and Workers=%d", workers)
+		}
 	}
 }
 
@@ -495,22 +485,8 @@ func fuzzFleetRun(t *testing.T, fs FaultSchedule, redispatch bool, workers int) 
 	if err := sup.SetFaults(FaultOptions{Model: fs, Redispatch: redispatch}); err != nil {
 		t.Fatal(err)
 	}
-	gen := NewConstantLoad(5, 9).WithRequestIters(10)
-	for r := 0; r < 5; r++ {
-		if _, err := sup.Step(gen); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := diffResult{rounds: sup.rounds, report: sup.Report(), trace: sup.Trace()}
-	for _, h := range sup.Hosts() {
-		res.energy = append(res.energy, h.Energy())
-		res.states = append(res.states, h.State())
-	}
-	for _, inst := range sup.Instances() {
-		res.insts = append(res.insts, instState{Host: inst.HostIndex(), Retired: inst.Retired(), Completed: len(inst.allLats)})
-	}
-	SortTrace(res.trace)
-	return sup, res
+	stepRounds(t, engineUnder(sup, workers), NewConstantLoad(5, 9).WithRequestIters(10), 5)
+	return sup, snapshotDiff(sup)
 }
 
 // checkFaultInvariants asserts the properties no fault schedule may
@@ -555,7 +531,8 @@ func checkFaultInvariants(t *testing.T, sup *Supervisor, res diffResult) {
 // FuzzFaultSchedule decodes arbitrary bytes into a fault schedule and
 // holds the fleet to its invariants under it: conservation of requests,
 // non-negative and conserved energy, same-seed determinism, and
-// bit-identical behavior between the single-heap and sharded engines.
+// bit-identical behavior between the single-heap refEngine and the
+// production engine at Workers 1 and 2.
 func FuzzFaultSchedule(f *testing.F) {
 	// One crash with redispatch; a rack pair without; every kind mixed
 	// with junk records.
@@ -564,12 +541,14 @@ func FuzzFaultSchedule(f *testing.F) {
 	f.Add([]byte("\x01\x01\xe8\x03\xf4\x01\x01\x06\x00\x00\x00\x00\x00\x02\xd0\x07\x84\x03\x02\x00\x02\x00\x80\x00\x00\x03t\x0e\xdc\x05\x00\x00\x00\x00@\x00\x00\x04\xff\xff\xff\xff\xff\x07\x07\xff\xff\xff\xff"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs, redispatch := decodeFaultSchedule(data)
-		sup, ref := fuzzFleetRun(t, fs, redispatch, 1)
+		sup, ref := fuzzFleetRun(t, fs, redispatch, refWorkers)
 		checkFaultInvariants(t, sup, ref)
-		_, again := fuzzFleetRun(t, fs, redispatch, 1)
-		assertDiffEqual(t, "fuzz-same-seed", ref, again, 1, 1)
-		shardedSup, sharded := fuzzFleetRun(t, fs, redispatch, 2)
-		checkFaultInvariants(t, shardedSup, sharded)
-		assertDiffEqual(t, "fuzz-engines", ref, sharded, 1, 2)
+		// Workers=1 runs twice: both runs matching the reference is the
+		// production engine's same-seed determinism.
+		for _, workers := range []int{1, 1, 2} {
+			prodSup, prod := fuzzFleetRun(t, fs, redispatch, workers)
+			checkFaultInvariants(t, prodSup, prod)
+			assertDiffEqual(t, "fuzz-engines", ref, prod, refWorkers, workers)
+		}
 	})
 }

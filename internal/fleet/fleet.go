@@ -27,31 +27,22 @@
 // default, or per-iteration batches via LoadGen.WithRequestIters — and
 // RoundStats reports p50/p95/p99 request latency per control quantum.
 //
-// The event timeline has two interchangeable engines. With Workers = 1
-// a single heap orders every event of every instance and the loop is
-// strictly sequential. With Workers > 1 (the default is GOMAXPROCS)
-// the timeline is sharded per host: each host owns the events of its
+// The timeline is sharded per host: each host owns the events of its
 // resident instances and advances independently up to the next global
-// synchronization barrier — an arbiter tick, a cap or placement
+// synchronization barrier — an arbiter tick, a cap, fault, or placement
 // landing, or a join-shortest-queue arrival — where a coordinator
 // merges host states, runs the arbiter, re-dispatches backlog, and
-// releases the next window; between barriers shards execute on a
-// bounded worker pool. Determinism is preserved by construction
-// (per-shard sequence counters, a canonical host-index merge order,
-// and a serial fallback for windows in which a draining instance could
-// retire), so both engines — and every Workers value — are bit-for-bit
-// identical for a fixed seed, which is what lets the end-to-end tests
-// validate the executed fleet against the closed-form cluster oracle
-// (cluster.Oracle, including its event-time M/D/1 queueing surface)
-// and lets the differential tests hold the sharded engine to the
-// single-heap reference.
-//
-// The original bulk-synchronous quantum loop survives as a thin
-// compatibility mode (TimelineQuantum): the fleet advances in control
-// quanta, every instance's goroutine executes concurrently to the
-// quantum boundary, and all decisions land at boundaries. It remains
-// for A/B comparison against the event timeline and as the concurrency
-// showcase; new work should use the default event timeline.
+// releases the next window. Between barriers the shards execute on a
+// bounded worker pool (Workers; 1 runs them inline on the caller's
+// goroutine). Determinism is preserved by construction (per-shard
+// sequence counters, a canonical host-index merge order, and a serial
+// fallback for windows in which a draining instance could retire), so
+// every Workers value is bit-for-bit identical for a fixed seed, which
+// is what lets the end-to-end tests validate the executed fleet against
+// the closed-form cluster oracle (cluster.Oracle, including its
+// event-time M/D/1 queueing surface) and lets the differential tests
+// hold the engine to a single-heap reference loop kept as a test-only
+// oracle (refengine_test.go).
 //
 // The fleet is composed from a Scenario of named WorkloadGroups
 // (NewScenario): heterogeneous applications — each group with its own
@@ -75,12 +66,10 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/calibrate"
@@ -90,19 +79,6 @@ import (
 	"repro/internal/heartbeats"
 	"repro/internal/platform"
 	"repro/internal/workload"
-)
-
-// Timeline selects the fleet's execution engine.
-type Timeline int
-
-const (
-	// TimelineEvent is the default: the deterministic discrete-event
-	// scheduler over virtual time.
-	TimelineEvent Timeline = iota
-	// TimelineQuantum is the legacy bulk-synchronous loop: instances
-	// run concurrently to each quantum boundary and every decision
-	// lands on a boundary. Kept as a thin compatibility mode.
-	TimelineQuantum
 )
 
 // Config assembles a single-group fleet: one app factory, one profile,
@@ -136,34 +112,25 @@ type Config struct {
 	Power platform.PowerModel
 	// Budget is the cluster-wide power cap in watts (<= 0 = unlimited).
 	Budget float64
-	// Quantum is the control quantum: the reporting round length, and
-	// in quantum mode the execution barrier (default 1s of virtual
-	// time).
+	// Quantum is the control quantum: the reporting round length
+	// (default 1s of virtual time).
 	Quantum time.Duration
 	// QuantumBeats is the per-instance actuator quantum (default 20).
 	QuantumBeats int
 	// MigrationDowntime is the blackout an instance suffers when moved
 	// between machines (default 100ms).
 	MigrationDowntime time.Duration
-	// Timeline selects the engine (default TimelineEvent).
-	Timeline Timeline
-	// Workers bounds the event timeline's shard worker pool. 0 defaults
-	// to GOMAXPROCS. 1 selects the single-heap reference engine (one
-	// global event queue, strictly sequential). Any larger value
-	// selects the sharded engine: each host owns its own event queue
-	// and advances independently between global synchronization
-	// barriers, with up to Workers shards executing concurrently. The
-	// two engines — and every Workers value — are bit-identical for a
-	// fixed seed (see docs/ARCHITECTURE.md for the determinism
-	// argument); Workers only changes wall-clock speed. The single
-	// exception is trace ROW ORDER (RecordTrace): both engines emit
-	// the same events, deterministically, but simultaneous events of
-	// different hosts interleave in engine-specific order. Ignored in
-	// quantum mode.
+	// Workers bounds the shard worker pool. Each host owns its own
+	// event queue and advances independently between global
+	// synchronization barriers, with up to Workers shards executing
+	// concurrently. 0 defaults to GOMAXPROCS; 1 runs the shards inline
+	// on the caller's goroutine (no goroutines are started). Every
+	// Workers value is bit-identical for a fixed seed (see
+	// docs/ARCHITECTURE.md for the determinism argument); Workers only
+	// changes wall-clock speed.
 	Workers int
-	// ArbiterInterval is the arbiter tick period on the event timeline;
-	// it defaults to Quantum and may be shorter for finer-grained
-	// re-arbitration. Ignored in quantum mode (one tick per quantum).
+	// ArbiterInterval is the arbiter tick period; it defaults to
+	// Quantum and may be shorter for finer-grained re-arbitration.
 	ArbiterInterval time.Duration
 	// ControlDisabled runs every instance open-loop at its baseline
 	// setting (the "without dynamic knobs" configuration) — used to
@@ -180,8 +147,7 @@ type Config struct {
 	// pools queues and strictly improves on that bound.
 	SplitDispatch bool
 	// EpochDispatch batches join-shortest-queue routing per
-	// coordinator window (see Scenario.EpochDispatch). Event timeline
-	// only; implies the sharded engine at any Workers value.
+	// coordinator window (see Scenario.EpochDispatch).
 	EpochDispatch bool
 	// Fluid enables the hybrid fluid/discrete engine with the given
 	// queue-depth threshold (see Scenario.Fluid). 0 disables.
@@ -189,9 +155,6 @@ type Config struct {
 	// RecordTrace collects the event-time trace (Supervisor.Trace):
 	// arrivals, completions, cap changes, arbiter ticks, host state
 	// transitions, placement. Off by default; traces grow with load.
-	// On the quantum timeline request events are recorded at the
-	// boundary they report through (self-fed saturating mints excepted)
-	// — time-quantized like everything else in that mode.
 	RecordTrace bool
 }
 
@@ -205,8 +168,8 @@ type Host struct {
 	energy    float64 // joules accumulated
 	counts    []int   // scratch per-group resident counts (interference input)
 
-	// Event-timeline power accounting: energy integrates over segments
-	// of constant DVFS state instead of whole quanta.
+	// Power accounting: energy integrates over segments of constant
+	// DVFS state instead of whole quanta.
 	segStart    time.Time
 	roundEnergy float64
 	roundBusy   time.Duration
@@ -220,8 +183,7 @@ type Host struct {
 	throttleState int
 	throttleUntil time.Time
 
-	// shard is the host's event queue on the sharded engine (nil when
-	// the single-heap engine or quantum mode drives the fleet).
+	// shard is the host's slice of the event timeline (shard.go).
 	shard *shard
 }
 
@@ -310,12 +272,9 @@ func (h *Host) removeResident(inst *Instance) {
 	}
 }
 
-// Instance is one controlled application instance. On the single-heap
-// event timeline only the event loop touches it; on the sharded
-// timeline only its host's shard touches it between barriers and only
-// the coordinator does at barriers. In quantum mode, during a quantum
-// only its own goroutine touches it; between quanta only the
-// supervisor does (the WaitGroup barrier orders the two).
+// Instance is one controlled application instance. Only its host's
+// shard touches it between barriers and only the coordinator does at
+// barriers.
 type Instance struct {
 	id      int
 	grp     *group
@@ -339,7 +298,7 @@ type Instance struct {
 	draining  bool
 	stopping  bool
 	retired   bool
-	scheduled bool // event timeline: a serve event is in the queue
+	scheduled bool // a serve event is in the queue
 	selfFeed  bool // saturating load: refill the queue mid-quantum
 	feedIdx   int  // stream cursor for self-fed requests
 	reqIters  int  // iterations per self-fed request (0 = whole stream)
@@ -352,7 +311,6 @@ type Instance struct {
 	allLats   []float64 // seconds, full history for per-instance percentiles
 	prevBusy  time.Duration
 	prevBeats int
-	err       error
 
 	// reqFree recycles completed Request structs. It is instance-local
 	// (so serve can recycle without synchronization on the sharded
@@ -443,8 +401,7 @@ func (inst *Instance) streamFor(req *Request) workload.Stream {
 // startSession begins serving req, reusing the instance's spare
 // session and run when the spare run covers the same stream slice
 // (same stream index and iteration cap) and rewinds cleanly; otherwise
-// a fresh run is built the usual way. Both engines' serve paths and
-// the quantum loop funnel through here.
+// a fresh run is built the usual way.
 func (inst *Instance) startSession(req *Request) {
 	var run workload.Run
 	idx := req.StreamIdx % len(inst.streams)
@@ -521,8 +478,8 @@ func (inst *Instance) freeRequest(r *Request) {
 	inst.reqFree = append(inst.reqFree, r)
 }
 
-// takeRequest pops from the supervisor's pool (round seeds and quantum
-// mode, both supervisor context).
+// takeRequest pops from the supervisor's pool (round seeds, supervisor
+// context).
 //
 //fleetvet:noalloc
 func (s *Supervisor) takeRequest() *Request {
@@ -571,77 +528,6 @@ func (inst *Instance) finishRequest() float64 {
 	return lat
 }
 
-// runRound advances the instance's virtual clock to the deadline,
-// serving queued requests beat by beat and idling when the queue is
-// empty. It runs on the instance's own goroutine (quantum mode only).
-func (inst *Instance) runRound(deadline time.Time) {
-	for {
-		now := inst.clk.Now()
-		if !now.Before(deadline) {
-			return
-		}
-		if inst.pausedUntil.After(now) {
-			// Migration blackout: the instance is being moved and
-			// serves nothing.
-			end := inst.pausedUntil
-			if end.After(deadline) {
-				end = deadline
-			}
-			inst.view.Idle(end.Sub(now))
-			continue
-		}
-		if inst.sess == nil {
-			if len(inst.queue) == 0 {
-				if inst.selfFeed {
-					// Saturating load: the instance never starves; it
-					// feeds itself the next request in place (request
-					// streams much shorter than a quantum would
-					// otherwise leave it idle until the next boundary).
-					req := inst.takeRequest()
-					req.ID, req.Group, req.StreamIdx, req.Iters, req.Arrival = -1, inst.grp.index, inst.feedIdx, inst.reqIters, now
-					inst.queue = append(inst.queue, req)
-					inst.feedIdx++
-					inst.minted++
-					continue
-				}
-				inst.view.Idle(deadline.Sub(now))
-				return
-			}
-			inst.cur = inst.popRequest()
-			inst.startSession(inst.cur)
-			inst.sessStart = now
-		}
-		done, err := inst.sess.StepUntil(deadline)
-		if err != nil {
-			inst.err = err
-			return
-		}
-		if done {
-			if inst.sess.Drained() {
-				// The runtime is winding down and will serve nothing
-				// further: close out the quantum idle instead of
-				// spinning on instantly-drained sessions.
-				inst.aborted++
-				inst.endSession(inst.cur)
-				inst.freeRequest(inst.cur)
-				inst.sess, inst.cur = nil, nil
-				if now := inst.clk.Now(); now.Before(deadline) {
-					inst.view.Idle(deadline.Sub(now))
-				}
-				return
-			}
-			if !inst.clk.Now().After(inst.sessStart) {
-				// A request that consumed no virtual time (empty or
-				// zero-cost stream) would livelock a self-feeding
-				// instance: fail loudly instead of spinning forever.
-				inst.err = fmt.Errorf("fleet: request on instance %d completed without advancing virtual time (zero-cost stream?)", inst.id)
-				return
-			}
-			inst.finishRequest()
-		}
-	}
-}
-
 // capChange is a scheduled cluster-budget change (SetBudgetAt).
 type capChange struct {
 	at    time.Time
@@ -680,7 +566,8 @@ func (s *Supervisor) duePlaces(cutoff time.Time) []placeChange {
 // dueBefore partitions scheduled changes around cutoff (exclusive),
 // returning the due ones in stable virtual-time order — of two changes
 // due at the same instant the later-scheduled one lands last and wins.
-// Cap and placement scheduling on both timelines share this one policy.
+// Cap, placement, fault, and injected-arrival scheduling share this one
+// policy.
 func dueBefore[T any](items []T, at func(T) time.Time, cutoff time.Time) (due, later []T) {
 	for _, it := range items {
 		if at(it).Before(cutoff) {
@@ -702,9 +589,9 @@ func (s *Supervisor) dueCaps(cutoff time.Time) []capChange {
 }
 
 // Supervisor owns the fleet. It is not itself safe for concurrent use:
-// one goroutine drives Step/Run and the placement methods; on the event
-// timeline the supervisor runs the single-threaded event loop, in
-// quantum mode it fans work out to instance goroutines each quantum.
+// one goroutine drives Step/Run and the placement methods; inside a
+// round the supervisor is the coordinator, fanning shards out to the
+// worker pool between barriers (coordinator.go).
 type Supervisor struct {
 	cfg     Scenario
 	groups  []*group
@@ -724,8 +611,6 @@ type Supervisor struct {
 	rounds    []RoundStats
 
 	// Event timeline state.
-	eq     eventQueue
-	seq    uint64
 	caps   []capChange
 	places []placeChange
 	trace  []TraceEvent
@@ -764,15 +649,16 @@ type Supervisor struct {
 	globalScratch []*event
 	arrScratch    []*event
 
-	// fluidInsts tracks instances currently on the fluid timeline
-	// (single-heap engine only; shards keep their own lists).
-	fluidInsts []*Instance
-
 	// workScratch and drainScratch are the coordinator's per-phase
 	// shard lists (coordinator.go), retained across windows so the
 	// thousand-host window loop allocates nothing.
 	workScratch  []*shard
 	drainScratch []*shard
+
+	// refSink is the test-only reference engine's sink (refengine_test.go;
+	// nil in production): forced fluid exits publish through it instead
+	// of the instance's shard, so their reactivations reach its queue.
+	refSink engineSink
 
 	// Fault & degradation state (fault.go): the wired model, the pending
 	// landing/recovery schedule, the landed records, and the per-round
@@ -825,7 +711,6 @@ func New(cfg Config) (*Supervisor, error) {
 		Quantum:           cfg.Quantum,
 		QuantumBeats:      cfg.QuantumBeats,
 		MigrationDowntime: cfg.MigrationDowntime,
-		Timeline:          cfg.Timeline,
 		Workers:           cfg.Workers,
 		ArbiterInterval:   cfg.ArbiterInterval,
 		ControlDisabled:   cfg.ControlDisabled,
@@ -907,11 +792,9 @@ func (s *Supervisor) Active() []*Instance {
 func (s *Supervisor) SetBudget(watts float64) { s.arb.SetBudget(watts) }
 
 // SetBudgetAt schedules a cluster-budget change to land at virtual time
-// at — the paper's cpufrequtils cap arriving mid-quantum. On the event
-// timeline the change is a cap event: it takes effect at that instant
-// and triggers an immediate re-arbitration, before the next periodic
-// arbiter tick. In quantum mode it degrades to the first quantum
-// boundary at or after at.
+// at — the paper's cpufrequtils cap arriving mid-quantum. The change is
+// a cap event: it takes effect at that instant and triggers an
+// immediate re-arbitration, before the next periodic arbiter tick.
 func (s *Supervisor) SetBudgetAt(at time.Time, watts float64) {
 	s.caps = append(s.caps, capChange{at: at, watts: watts})
 }
@@ -994,15 +877,15 @@ func (s *Supervisor) resolveHost(host int) int {
 }
 
 // landStart places a pending instance on a machine at virtual time at.
-// On the event timeline the caller has already closed the host's power
-// segment and re-arbitrates afterwards.
+// The caller has already closed the host's power segment and
+// re-arbitrates afterwards.
 func (s *Supervisor) landStart(inst *Instance, host int, at time.Time) {
 	if c := inst.clk.Now(); c.Before(at) {
-		// The landing was deferred past the scheduled instant (quantum
-		// mode's boundary degrade, or a past-due clamp): idle the
-		// instance's view up to the landing so its clock agrees with
-		// fleet time — a trailing clock would book negative request
-		// latencies and execute more than a quantum per round.
+		// The landing was deferred past the scheduled instant (a
+		// past-due clamp): idle the instance's view up to the landing so
+		// its clock agrees with fleet time — a trailing clock would book
+		// negative request latencies and execute more than a quantum per
+		// round.
 		inst.view.Idle(at.Sub(c))
 	}
 	host = s.resolveHost(host)
@@ -1040,17 +923,16 @@ func (s *Supervisor) StartInstanceIn(group, host int) (*Instance, error) {
 }
 
 // StartAt schedules a new instance to join the given machine (host < 0 =
-// fewest residents, resolved at landing) at virtual time at. On the
-// event timeline the start is a placement event: the instance lands at
-// that exact instant — mid-quantum included — the cluster budget is
-// re-arbitrated immediately, and requests queued fleet-wide are offered
-// to it from that instant on. In quantum mode it degrades to the first
-// quantum boundary at or after at. Under a saturating load the new
-// instance begins self-feeding at the next round seed. The returned
-// instance is constructed eagerly (so the call reports errors
-// synchronously and determinism is preserved) but stays unplaced, off
-// every machine, until the event lands. The instance belongs to the
-// first workload group; StartAtIn selects another.
+// fewest residents, resolved at landing) at virtual time at. The start
+// is a placement event: the instance lands at that exact instant —
+// mid-quantum included — the cluster budget is re-arbitrated
+// immediately, and requests queued fleet-wide are offered to it from
+// that instant on. Under a saturating load the new instance begins
+// self-feeding at the next round seed. The returned instance is
+// constructed eagerly (so the call reports errors synchronously and
+// determinism is preserved) but stays unplaced, off every machine,
+// until the event lands. The instance belongs to the first workload
+// group; StartAtIn selects another.
 func (s *Supervisor) StartAt(at time.Time, host int) (*Instance, error) {
 	return s.StartAtIn(at, 0, host)
 }
@@ -1077,8 +959,7 @@ func (s *Supervisor) StartAtIn(at time.Time, group, host int) (*Instance, error)
 // from that instant the instance accepts no new requests, finishes its
 // queue, and leaves its machine the moment it idles — retirement and the
 // freed budget land at exact virtual instants, with re-arbitration on
-// each. In quantum mode it degrades to the first boundary at or after
-// at.
+// each.
 func (s *Supervisor) DrainAt(at time.Time, inst *Instance) {
 	s.places = append(s.places, placeChange{at: at, op: placeDrain, inst: inst, host: -1})
 }
@@ -1086,8 +967,7 @@ func (s *Supervisor) DrainAt(at time.Time, inst *Instance) {
 // StopAt schedules a hard stop to land at virtual time at: the in-flight
 // request is aborted, the backlog is redistributed to the remaining
 // accepting instances at that instant, and the host's budget share is
-// re-arbitrated. In quantum mode it degrades to the first boundary at or
-// after at.
+// re-arbitrated.
 func (s *Supervisor) StopAt(at time.Time, inst *Instance) {
 	s.places = append(s.places, placeChange{at: at, op: placeStop, inst: inst, host: -1})
 }
@@ -1097,8 +977,7 @@ func (s *Supervisor) StopAt(at time.Time, inst *Instance) {
 // migration downtime as an event-time blackout interval [at,
 // at+MigrationDowntime) during which it serves nothing. Both machines'
 // power segments close at the landing instant and the budget is
-// re-arbitrated. In quantum mode it degrades to the first boundary at or
-// after at.
+// re-arbitrated.
 func (s *Supervisor) MigrateAt(at time.Time, inst *Instance, to int) error {
 	if to < 0 || to >= len(s.hosts) {
 		return fmt.Errorf("fleet: host %d out of range [0,%d]", to, len(s.hosts)-1)
@@ -1108,9 +987,8 @@ func (s *Supervisor) MigrateAt(at time.Time, inst *Instance, to int) error {
 }
 
 // Drain gracefully retires an instance: it accepts no new requests,
-// finishes its queue, and leaves its machine once idle. On the event
-// timeline the retirement lands at the exact virtual instant the queue
-// empties; in quantum mode it lands at the following boundary.
+// finishes its queue, and leaves its machine once idle: the retirement
+// lands at the exact virtual instant the queue empties.
 func (s *Supervisor) Drain(inst *Instance) {
 	inst.accepting = false
 	inst.draining = true
@@ -1141,11 +1019,9 @@ func (s *Supervisor) Migrate(inst *Instance, to int) error {
 }
 
 // landPlace applies one placement change at virtual time at and reports
-// whether fleet state changed — the event timeline re-arbitrates and
-// re-dispatches backlog when it did. Power-segment closes are an
-// event-timeline concern (quantum mode accounts power at boundaries),
-// and share pushes are left to the arbitration that follows every
-// landing on both timelines.
+// whether fleet state changed — the round loop re-arbitrates and
+// re-dispatches backlog when it did. Share pushes are left to that
+// arbitration.
 func (s *Supervisor) landPlace(at time.Time, p placeChange) bool {
 	inst := p.inst
 	switch p.op {
@@ -1161,9 +1037,7 @@ func (s *Supervisor) landPlace(at time.Time, p placeChange) bool {
 			return false
 		}
 		host := s.resolveHost(p.host)
-		if s.eventMode() {
-			s.closeSegment(s.hosts[host], at)
-		}
+		s.closeSegment(s.hosts[host], at)
 		s.landStart(inst, host, at)
 		return true
 	case placeDrain:
@@ -1178,7 +1052,7 @@ func (s *Supervisor) landPlace(at time.Time, p placeChange) bool {
 		inst.accepting = false
 		inst.draining = true
 		s.record(TraceEvent{At: at, Kind: TraceDrain, Instance: inst.id, Host: inst.HostIndex(), State: -1, Group: inst.grp.name})
-		if s.eventMode() && inst.sess == nil && len(inst.queue) == 0 {
+		if inst.sess == nil && len(inst.queue) == 0 {
 			// Already idle: the retirement lands at the same instant.
 			s.retireAt(inst, at)
 		}
@@ -1203,10 +1077,8 @@ func (s *Supervisor) landPlace(at time.Time, p placeChange) bool {
 		// and exit any fluid flow on the source first (the reactivation
 		// lands behind the migration blackout).
 		s.forceExitFluid(inst, at, true)
-		if s.eventMode() {
-			s.closeSegment(inst.host, at)
-			s.closeSegment(to, at)
-		}
+		s.closeSegment(inst.host, at)
+		s.closeSegment(to, at)
 		inst.host.removeResident(inst)
 		inst.host = to
 		to.residents = append(to.residents, inst)
@@ -1246,11 +1118,9 @@ func (s *Supervisor) retireStopped(inst *Instance, at time.Time, creditInstance 
 	hostIdx := -1
 	if h := inst.host; h != nil {
 		hostIdx = h.index
-		if s.eventMode() {
-			// At a quantum boundary this segment is already closed
-			// (zero length); mid-round it books the pre-stop power.
-			s.closeSegment(h, at)
-		}
+		// At a quantum boundary this segment is already closed (zero
+		// length); mid-round it books the pre-stop power.
+		s.closeSegment(h, at)
 		h.removeResident(inst)
 		inst.host = nil
 	}
@@ -1259,14 +1129,11 @@ func (s *Supervisor) retireStopped(inst *Instance, at time.Time, creditInstance 
 	s.record(TraceEvent{At: at, Kind: TraceRetire, Instance: inst.id, Host: hostIdx, State: -1, Group: inst.grp.name})
 }
 
-// eventMode reports whether the event timeline drives the fleet.
-func (s *Supervisor) eventMode() bool { return s.cfg.Timeline == TimelineEvent }
-
 // retireDone removes finished instances from their machines: stopped
 // ones immediately (requeuing their backlog), draining ones once idle.
-// The event timeline additionally retires drained instances mid-round,
-// at the instant their queue empties; this boundary sweep covers the
-// quantum mode and instances that were already idle when drained.
+// Drained instances also retire mid-round, at the instant their queue
+// empties; this boundary sweep covers instances that were already idle
+// when drained.
 func (s *Supervisor) retireDone() {
 	for _, inst := range s.insts {
 		if inst.retired {
@@ -1337,8 +1204,7 @@ func (s *Supervisor) acceptingByGroup() [][]*Instance {
 
 // redispatchPending re-offers the undispatched backlog to the current
 // accepting sets, each request within its own group, invoking wake for
-// each successful dispatch. Shared by both event engines' placement
-// landings and the round seed.
+// each successful dispatch. Shared by placement and fault landings.
 func (s *Supervisor) redispatchPending(acc [][]*Instance, wake func(*Instance, time.Time), at time.Time) {
 	var still []*Request
 	for _, req := range s.pending {
@@ -1432,9 +1298,7 @@ func (s *Supervisor) arbitrate(t time.Time) {
 					s.forceExitFluid(inst, t, true)
 				}
 			}
-			if s.eventMode() {
-				s.closeSegment(h, t)
-			}
+			s.closeSegment(h, t)
 			h.state = states[i]
 			s.knobSwitches++
 			s.record(TraceEvent{At: t, Kind: TraceState, Instance: -1, Host: h.index, State: h.state, Value: platform.Frequencies[h.state]})
@@ -1457,16 +1321,7 @@ func (s *Supervisor) KnobSwitches() int { return s.knobSwitches }
 // observations are fed to it and its placement decisions are scheduled
 // to land in the following quantum.
 func (s *Supervisor) Step(gen *LoadGen) (RoundStats, error) {
-	var rs RoundStats
-	var err error
-	switch {
-	case s.eventMode() && (s.cfg.Workers > 1 || s.cfg.EpochDispatch):
-		rs, err = s.stepSharded(gen)
-	case s.eventMode():
-		rs, err = s.stepEvent(gen)
-	default:
-		rs, err = s.stepQuantum(gen)
-	}
+	rs, err := s.stepSharded(gen)
 	if err != nil {
 		return rs, err
 	}
@@ -1487,167 +1342,6 @@ func (s *Supervisor) groupGen(gi int, gen *LoadGen) *LoadGen {
 		return gen
 	}
 	return s.groups[gi].gen
-}
-
-// stepQuantum is the legacy bulk-synchronous round: arbitration, load
-// delivery, concurrent execution to the boundary, then accounting.
-func (s *Supervisor) stepQuantum(gen *LoadGen) (RoundStats, error) {
-	s.retireDone()
-	now := s.Now()
-
-	// Budget changes scheduled mid-quantum degrade to the first
-	// boundary at or after their landing time, applied in virtual-time
-	// order so the latest-scheduled cap wins. The cutoff is exclusive,
-	// hence one instant past now to take caps landing exactly here.
-	for _, c := range s.dueCaps(now.Add(time.Nanosecond)) {
-		s.arb.SetBudget(c.watts)
-		s.record(TraceEvent{At: now, Kind: TraceCap, Instance: -1, Host: -1, State: -1, Value: c.watts})
-	}
-	// Scheduled placement changes degrade the same way: they land at the
-	// first boundary at or after their instant, before this round's
-	// arbitration and load delivery see the fleet.
-	for _, p := range s.duePlaces(now.Add(time.Nanosecond)) {
-		s.landPlace(now, p)
-	}
-
-	// 1. Arbitrate the shared power budget into per-machine frequency
-	//    caps and push them (plus multiplexing shares) to every resident.
-	s.arbitrate(now)
-
-	// 2. Deliver this quantum's offered load, each group its own
-	//    stream, dispatched within the group.
-	arrivals := 0
-	for _, inst := range s.insts {
-		inst.selfFeed = false
-	}
-	anyGen := false
-	for gi := range s.groups {
-		if s.groupGen(gi, gen) != nil {
-			anyGen = true
-		}
-	}
-	if anyGen {
-		acc := s.acceptingByGroup()
-		// Backlog re-offers only for groups fed open-loop this round
-		// (the same policy as seedRound, shared shim behavior).
-		open := make([]bool, len(s.groups))
-		for gi, g := range s.groups {
-			if ggen := s.groupGen(gi, gen); ggen != nil {
-				s.ensureBaselines(g, ggen.reqIters)
-				_, sat := ggen.Saturating()
-				open[gi] = !sat
-			}
-		}
-		var still []*Request
-		for _, req := range s.pending {
-			if !open[req.Group] {
-				still = append(still, req)
-				continue
-			}
-			s.ensureBaselines(s.groups[req.Group], req.Iters)
-			if s.dispatch(acc[req.Group], req) == nil {
-				still = append(still, req)
-			}
-		}
-		s.pending = still
-		for gi, g := range s.groups {
-			ggen := s.groupGen(gi, gen)
-			if ggen == nil {
-				continue
-			}
-			if depth, ok := ggen.Saturating(); ok {
-				for _, inst := range acc[gi] {
-					inst.selfFeed = true
-					inst.reqIters = ggen.reqIters
-					for inst.QueueDepth() < depth {
-						req := ggen.nextInto(s.takeRequest(), now)
-						req.Group = gi
-						inst.queue = append(inst.queue, req)
-						arrivals++
-						g.roundArrivals++
-						s.record(TraceEvent{At: now, Kind: TraceArrival, Instance: inst.id, Host: -1, State: -1, Group: g.name})
-					}
-				}
-			} else {
-				for i := ggen.Arrivals(s.round); i > 0; i-- {
-					req := ggen.nextInto(s.takeRequest(), now)
-					req.Group = gi
-					arrivals++
-					g.roundArrivals++
-					s.record(TraceEvent{At: now, Kind: TraceArrival, Instance: -1, Host: -1, State: -1, Group: g.name})
-					if s.dispatch(acc[gi], req) == nil {
-						s.pending = append(s.pending, req)
-					}
-				}
-			}
-		}
-	}
-
-	// 3. Execute the quantum: every instance concurrently, to the same
-	//    virtual deadline.
-	deadline := now.Add(s.cfg.Quantum)
-	active := s.Active()
-	var wg sync.WaitGroup
-	for _, inst := range active {
-		wg.Add(1)
-		go func(inst *Instance) {
-			defer wg.Done()
-			inst.runRound(deadline)
-		}(inst)
-	}
-	wg.Wait()
-	var errs []error
-	for _, inst := range active {
-		if inst.err != nil {
-			errs = append(errs, fmt.Errorf("instance %d: %w", inst.id, inst.err))
-		}
-	}
-	if len(errs) > 0 {
-		return RoundStats{}, errors.Join(errs...)
-	}
-	// Completions happen on instance goroutines mid-quantum, so the
-	// quantum timeline records them at the boundary they report through
-	// — time-quantized like everything else in this mode.
-	if s.cfg.RecordTrace {
-		for _, inst := range active {
-			for _, lat := range inst.latencies {
-				s.record(TraceEvent{At: deadline, Kind: TraceComplete, Instance: inst.id, Host: inst.HostIndex(), State: -1, Value: lat, Group: inst.grp.name})
-			}
-		}
-	}
-
-	// 4. Account power, performance, and queue statistics.
-	quantumSec := s.cfg.Quantum.Seconds()
-	rs := RoundStats{Round: s.round, Budget: s.arb.Budget(), Arrivals: arrivals}
-	for _, h := range s.hosts {
-		var busy time.Duration
-		for _, inst := range h.residents {
-			b, _ := inst.view.Times()
-			busy += b - inst.prevBusy
-			inst.prevBusy = b
-		}
-		util := busy.Seconds() / (quantumSec * float64(h.cores))
-		if util > 1 {
-			util = 1
-		}
-		power := s.cfg.Power.Power(platform.Frequencies[h.state], util)
-		h.energy += power * quantumSec
-		s.energy += power * quantumSec
-		rs.PowerWatts += power
-		rs.Hosts = append(rs.Hosts, HostStats{
-			Index:      h.index,
-			State:      h.state,
-			FreqGHz:    platform.Frequencies[h.state],
-			Util:       util,
-			PowerWatts: power,
-			Residents:  len(h.residents),
-		})
-	}
-	s.drainRoundCounters(&rs)
-	s.record(TraceEvent{At: deadline, Kind: TraceRound, Instance: -1, Host: -1, State: -1, Value: rs.PowerWatts})
-	s.rounds = append(s.rounds, rs)
-	s.round++
-	return rs, nil
 }
 
 // Run advances the fleet by the given number of quanta.

@@ -1,7 +1,7 @@
 package fleet
 
 // This file is the fluid half of the hybrid fluid/discrete engine
-// (Scenario.Fluid). The discrete engines simulate every iteration of
+// (Scenario.Fluid). The discrete engine simulates every iteration of
 // every request as an event; at thousand-host scale with deep queues,
 // nearly all of those events are predictable — a backlogged instance
 // under a fixed operating point drains FIFO at its measured service
@@ -38,11 +38,12 @@ package fleet
 // discarded quantity, bounded by a single request per forced exit.
 //
 // Determinism: fluid state only changes in supervisor context or on
-// the instance's own shard, drain points are the same instants on both
-// engines, and the analytic completion instants are pure arithmetic —
-// so fluid runs are bit-identical across Workers values, and Fluid=0
-// is byte-identical to the reference engines (no fluid code touches
-// the hot path when disabled).
+// the instance's own shard, drain points are the same instants at every
+// Workers value (and on the single-heap test oracle), and the analytic
+// completion instants are pure arithmetic — so fluid runs are
+// bit-identical across Workers values, and Fluid=0 is byte-identical to
+// the pure discrete run (no fluid code touches the hot path when
+// disabled).
 
 import "time"
 
@@ -190,39 +191,11 @@ func (s *Supervisor) forceExitFluid(inst *Instance, t time.Time, reactivate bool
 }
 
 // fluidSink resolves the engineSink an instance's fluid bookkeeping
-// must publish through: its host's shard on the sharded engine, the
-// supervisor's global queue otherwise.
+// must publish through: its host's shard (a fluid instance is always
+// placed), unless the test oracle drives the fleet.
 func (s *Supervisor) fluidSink(inst *Instance) engineSink {
-	if h := inst.host; h != nil && h.shard != nil {
-		return h.shard
+	if s.refSink != nil {
+		return s.refSink
 	}
-	return s
-}
-
-// registerFluid implements engineSink for the single-heap engine: the
-// supervisor tracks fluid instances and drains them at every global
-// event instant (stepEvent) and at the round close.
-func (s *Supervisor) registerFluid(inst *Instance) {
-	s.fluidInsts = append(s.fluidInsts, inst)
-}
-
-// drainAllFluid renders every tracked fluid instance up to u,
-// compacting out the ones that re-materialized (single-heap engine).
-func (s *Supervisor) drainAllFluid(u time.Time) {
-	if len(s.fluidInsts) == 0 {
-		return
-	}
-	live := s.fluidInsts[:0]
-	for _, inst := range s.fluidInsts {
-		if inst.fluid {
-			s.drainFluid(inst, u, s)
-		}
-		if inst.fluid {
-			live = append(live, inst)
-		}
-	}
-	for i := len(live); i < len(s.fluidInsts); i++ {
-		s.fluidInsts[i] = nil
-	}
-	s.fluidInsts = live
+	return inst.host.shard
 }

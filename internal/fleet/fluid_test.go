@@ -145,11 +145,11 @@ func TestFluidCloseToDiscrete(t *testing.T) {
 	}
 }
 
-// runFluidDiff drives the sharded-engine differential scenario with
-// fluid mode on: heavy join-shortest-queue load (every arrival a
-// barrier) over a binding budget, plus every coupling edge that forces
-// a fluid exit — a mid-window cap (DVFS reassignment), a cross-shard
-// migration, a drain, and a hard stop.
+// runFluidDiff drives the engine differential scenario (refWorkers =
+// the refEngine) with fluid mode on: heavy join-shortest-queue load
+// (every arrival a barrier) over a binding budget, plus every coupling
+// edge that forces a fluid exit — a mid-window cap (DVFS reassignment),
+// a cross-shard migration, a drain, and a hard stop.
 func runFluidDiff(t *testing.T, workers int) diffResult {
 	t.Helper()
 	const machines = 8
@@ -176,37 +176,32 @@ func runFluidDiff(t *testing.T, workers int) diffResult {
 	sup.DrainAt(time.Unix(5, 0).Add(250*time.Millisecond), insts[0])
 	sup.StopAt(time.Unix(7, 0).Add(600*time.Millisecond), insts[2])
 
-	for r := 0; r < 10; r++ {
-		if _, err := sup.Step(gen); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := diffResult{rounds: sup.rounds, report: sup.Report(), trace: sup.Trace()}
-	for _, h := range sup.Hosts() {
-		res.energy = append(res.energy, h.Energy())
-		res.states = append(res.states, h.State())
-	}
-	for _, inst := range sup.Instances() {
-		res.insts = append(res.insts, instState{Host: inst.HostIndex(), Retired: inst.Retired(), Completed: len(inst.allLats)})
-	}
-	SortTrace(res.trace)
-	return res
+	stepRounds(t, engineUnder(sup, workers), gen, 10)
+	return snapshotDiff(sup)
 }
 
 // TestFluidBitIdenticalAcrossWorkers is the fluid determinism
 // acceptance test: fluid drains happen at the same canonical instants
-// on both engines (global events on the single heap, window barriers on
-// shards), so a fluid run — including forced exits through migration,
-// drain, stop, and DVFS changes — must be bit-identical between the
-// single-heap engine and the sharded engine at any worker count.
+// on the refEngine and in production (global events on the single heap,
+// window barriers on shards), so a fluid run — including forced exits
+// through migration, drain, stop, and DVFS changes — must be
+// bit-identical between the refEngine and the production engine at
+// Workers=1, 2, and 4.
 func TestFluidBitIdenticalAcrossWorkers(t *testing.T) {
-	ref := runFluidDiff(t, 1)
+	ref := assertEnginesAgree(t, "fluid", func(workers int) diffResult {
+		return runFluidDiff(t, workers)
+	})
 	if enters, _ := countFluidTransitions(ref.trace); enters == 0 {
 		t.Fatalf("differential scenario never engaged fluid mode; thresholds need retuning")
 	}
-	for _, workers := range []int{2, 4} {
-		got := runFluidDiff(t, workers)
-		assertDiffEqual(t, "fluid", ref, got, 1, workers)
+}
+
+// TestFluidBenchLegEngagesFluid pins what the fluid A/B benchmark
+// measures: the warmed fluid leg must actually have instances on the
+// fluid timeline, or the pair is two discrete runs under a fluid name.
+func TestFluidBenchLegEngagesFluid(t *testing.T) {
+	if sup, _ := fluidScaleFleet(t, syntheticProfile(t), 128, 4); fluidInstances(sup) == 0 {
+		t.Error("the fluid leg's scenario ended its warm-up with no instance in fluid mode")
 	}
 }
 
@@ -214,7 +209,7 @@ func TestFluidBitIdenticalAcrossWorkers(t *testing.T) {
 // energy conservation invariants under arbitrary thresholds and loads:
 // every arrival is exactly one of completed, aborted, or still queued;
 // per-host energy is non-negative and sums to the fleet total; and the
-// run is bit-identical between engines — all regardless of where the
+// run is bit-identical to the refEngine — all regardless of where the
 // fluid threshold lands relative to the realized queue depths.
 func FuzzFluidConservation(f *testing.F) {
 	f.Add(uint8(3), uint8(26), uint8(1))
@@ -237,27 +232,15 @@ func FuzzFluidConservation(f *testing.F) {
 				t.Fatal(err)
 			}
 			startN(t, sup, 3)
-			gen := NewConstantLoad(int64(seed)+7, lambda).WithRequestIters(10)
-			for r := 0; r < 5; r++ {
-				if _, err := sup.Step(gen); err != nil {
-					t.Fatal(err)
-				}
-			}
-			res := diffResult{rounds: sup.rounds, report: sup.Report(), trace: sup.Trace()}
-			for _, h := range sup.Hosts() {
-				res.energy = append(res.energy, h.Energy())
-				res.states = append(res.states, h.State())
-			}
-			for _, inst := range sup.Instances() {
-				res.insts = append(res.insts, instState{Host: inst.HostIndex(), Retired: inst.Retired(), Completed: len(inst.allLats)})
-			}
-			SortTrace(res.trace)
-			return sup, res
+			stepRounds(t, engineUnder(sup, workers), NewConstantLoad(int64(seed)+7, lambda).WithRequestIters(10), 5)
+			return sup, snapshotDiff(sup)
 		}
-		sup, ref := run(1)
+		sup, ref := run(refWorkers)
 		checkFaultInvariants(t, sup, ref)
-		shardedSup, sharded := run(2)
-		checkFaultInvariants(t, shardedSup, sharded)
-		assertDiffEqual(t, "fluid-fuzz-engines", ref, sharded, 1, 2)
+		for _, workers := range []int{1, 2} {
+			prodSup, prod := run(workers)
+			checkFaultInvariants(t, prodSup, prod)
+			assertDiffEqual(t, "fluid-fuzz-engines", ref, prod, refWorkers, workers)
+		}
 	})
 }

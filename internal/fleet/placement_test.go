@@ -244,61 +244,6 @@ func TestMigrateAtRecoversTarget(t *testing.T) {
 	}
 }
 
-// TestPlacementQuantumCompat keeps the legacy timeline honest: scheduled
-// placements degrade to the first quantum boundary at or after their
-// instant.
-func TestPlacementQuantumCompat(t *testing.T) {
-	sup, err := New(Config{
-		Machines:        2,
-		CoresPerMachine: 2,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
-		Timeline:        TimelineQuantum,
-		RecordTrace:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	startN(t, sup, 2)
-	inst, err := sup.StartAt(time.Unix(0, 0).Add(300*time.Millisecond), -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup.DrainAt(time.Unix(1, 0).Add(200*time.Millisecond), inst)
-	if err := sup.Run(NewConstantLoad(9, 2), 4); err != nil {
-		t.Fatal(err)
-	}
-	var startAt, drainAt time.Time
-	for _, ev := range sup.Trace() {
-		switch {
-		case ev.Kind == TraceStart && ev.Instance == inst.ID():
-			startAt = ev.At
-		case ev.Kind == TraceDrain && ev.Instance == inst.ID():
-			drainAt = ev.At
-		}
-	}
-	if want := time.Unix(1, 0); !startAt.Equal(want) {
-		t.Errorf("quantum-mode start landed at %v, want boundary %v", startAt, want)
-	}
-	if want := time.Unix(2, 0); !drainAt.Equal(want) {
-		t.Errorf("quantum-mode drain landed at %v, want boundary %v", drainAt, want)
-	}
-	if !inst.Retired() {
-		t.Error("drained instance not retired by run end")
-	}
-	// The boundary degrade must advance the instance's clock to the
-	// landing: a trailing clock would book negative request latencies.
-	rep := sup.Report()
-	if rep.MeanLatency < 0 {
-		t.Errorf("mean latency %.3f s negative: a landed instance's clock trailed fleet time", rep.MeanLatency)
-	}
-	for _, il := range rep.PerInstance {
-		if il.P50 < 0 || il.P95 < 0 {
-			t.Errorf("instance %d latency percentiles negative (p50 %.3f, p95 %.3f)", il.ID, il.P50, il.P95)
-		}
-	}
-}
-
 // TestDrainCancelsPendingStart checks that draining or stopping an
 // instance before its scheduled start lands cancels the start instead
 // of resurrecting the instance into the accepting set.

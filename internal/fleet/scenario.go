@@ -95,13 +95,11 @@ type Scenario struct {
 	// MigrationDowntime is the blackout an instance suffers when moved
 	// between machines (default 100ms).
 	MigrationDowntime time.Duration
-	// Timeline selects the engine (default TimelineEvent).
-	Timeline Timeline
-	// Workers bounds the event timeline's shard worker pool (see
-	// Config.Workers; results are bit-identical at every value).
+	// Workers bounds the shard worker pool: 0 = GOMAXPROCS, 1 = run the
+	// shards inline on the caller's goroutine (see Config.Workers;
+	// results are bit-identical at every value).
 	Workers int
-	// ArbiterInterval is the arbiter tick period on the event timeline
-	// (default Quantum).
+	// ArbiterInterval is the arbiter tick period (default Quantum).
 	ArbiterInterval time.Duration
 	// ControlDisabled runs every instance open-loop at its baseline
 	// setting — the regime where service times stay deterministic and
@@ -120,9 +118,8 @@ type Scenario struct {
 	// snapshot depth — and then land as shard-local events. An
 	// approximation of exact JSQ (completions inside the window no
 	// longer influence routing within it), so it is opt-in; results are
-	// bit-identical at every Workers value because epoch mode always
-	// runs the sharded engine, whose windows are Workers-invariant.
-	// Event timeline only.
+	// bit-identical at every Workers value because the coordinator's
+	// windows are Workers-invariant.
 	EpochDispatch bool
 	// Fluid enables the hybrid fluid/discrete engine: an instance whose
 	// queue reaches this depth stops simulating per-beat events and
@@ -130,15 +127,14 @@ type Scenario struct {
 	// re-materializing into discrete events at SLO-relevant boundaries
 	// (arbiter state changes, placement and fault landings, round
 	// closes) and when its queue shallows again. 0 (the default)
-	// disables — every request simulates discretely, bit-identical to
-	// the reference engines. Event timeline only.
+	// disables — every request simulates discretely.
 	Fluid int
 	// RecordTrace collects the event-time trace (Supervisor.Trace).
 	RecordTrace bool
 	// Faults wires a fault & degradation model into the fleet: seeded
 	// crash/rack-outage/throttle/straggler/sag events landing on the
 	// event timeline, with Report.Resilience accounting (fault.go).
-	// Event-timeline only; nil injects nothing.
+	// Nil injects nothing.
 	Faults *FaultOptions
 }
 
@@ -252,9 +248,7 @@ func NewScenario(sc Scenario) (*Supervisor, error) {
 	epoch := epochTime()
 	for i := 0; i < sc.Machines; i++ {
 		h := &Host{sup: s, index: i, cores: sc.CoresPerMachine, segStart: epoch}
-		if sc.Timeline == TimelineEvent && (sc.Workers > 1 || sc.EpochDispatch) {
-			h.shard = &shard{sup: s, host: h}
-		}
+		h.shard = &shard{sup: s, host: h}
 		s.hosts = append(s.hosts, h)
 	}
 	for i, wg := range sc.Groups {

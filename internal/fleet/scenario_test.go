@@ -95,30 +95,16 @@ func runScenarioDiff(t *testing.T, workers int, split bool) diffResult {
 	sup.DrainAt(time.Unix(5, 0).Add(250*time.Millisecond), slow)
 	sup.StopAt(time.Unix(7, 0).Add(600*time.Millisecond), insts[1])
 
-	for r := 0; r < 10; r++ {
-		if _, err := sup.Step(nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	res := diffResult{rounds: sup.rounds, report: sup.Report(), trace: sup.Trace()}
-	for _, h := range sup.Hosts() {
-		res.energy = append(res.energy, h.Energy())
-		res.states = append(res.states, h.State())
-	}
-	for _, inst := range sup.Instances() {
-		res.insts = append(res.insts, instState{Host: inst.HostIndex(), Retired: inst.Retired(), Completed: len(inst.allLats)})
-	}
-	SortTrace(res.trace)
-	return res
+	stepRounds(t, engineUnder(sup, workers), nil, 10)
+	return snapshotDiff(sup)
 }
 
 // TestScenarioBitIdenticalAcrossWorkers is the heterogeneous
 // differential acceptance test: a two-group (fast/slow synthetic mix)
 // scenario with per-group arrival streams, contention-aware
 // interference, a mid-window cap, and a cross-group migration must be
-// bit-identical between the single-heap engine (Workers=1) and the
-// sharded engine at Workers=2 and 4 — under join-shortest-queue
+// bit-identical between the single-heap refEngine and the production
+// engine at Workers=1, 2, and 4 — under join-shortest-queue
 // dispatch (every arrival a barrier) and under SplitDispatch (the
 // pre-routed fast path, whose per-group RNG draw order is the
 // subtlest new invariant).
@@ -128,26 +114,24 @@ func TestScenarioBitIdenticalAcrossWorkers(t *testing.T) {
 		if split {
 			name = "split"
 		}
-		ref := runScenarioDiff(t, 1, split)
+		ref := assertEnginesAgree(t, "scenario-"+name, func(workers int) diffResult {
+			return runScenarioDiff(t, workers, split)
+		})
 		if ref.report.Completions == 0 {
 			t.Fatalf("%s scenario completed no requests; the differential proves nothing", name)
 		}
 		if len(ref.report.PerGroup) != 2 || ref.report.PerGroup[0].Completions == 0 || ref.report.PerGroup[1].Completions == 0 {
 			t.Fatalf("%s scenario lacks per-group completions: %+v", name, ref.report.PerGroup)
 		}
-		for _, workers := range []int{2, 4} {
-			got := runScenarioDiff(t, workers, split)
-			assertDiffEqual(t, "scenario-"+name, ref, got, 1, workers)
-		}
 	}
 }
 
-// TestScenarioMixedSaturatingOpenLoop holds the engines together when
-// one group saturates (self-feeding instances, no arrival barriers)
+// TestScenarioMixedSaturatingOpenLoop holds the engine to the refEngine
+// when one group saturates (self-feeding instances, no arrival barriers)
 // while the other offers open-loop Poisson work items (every JSQ
 // arrival a barrier) — the widest mix of window shapes.
 func TestScenarioMixedSaturatingOpenLoop(t *testing.T) {
-	run := func(workers int) diffResult {
+	ref := assertEnginesAgree(t, "mixed-saturating", func(workers int) diffResult {
 		sup, err := NewScenario(Scenario{
 			Machines:        6,
 			CoresPerMachine: 1,
@@ -165,19 +149,9 @@ func TestScenarioMixedSaturatingOpenLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		sup.SetBudgetAt(time.Unix(1, 0).Add(500*time.Millisecond), 6*170)
-		if err := sup.Run(nil, 8); err != nil {
-			t.Fatal(err)
-		}
-		res := diffResult{rounds: sup.rounds, report: sup.Report(), trace: sup.Trace()}
-		for _, h := range sup.Hosts() {
-			res.energy = append(res.energy, h.Energy())
-			res.states = append(res.states, h.State())
-		}
-		SortTrace(res.trace)
-		return res
-	}
-	ref := run(1)
-	assertDiffEqual(t, "mixed-saturating", ref, run(4), 1, 4)
+		stepRounds(t, engineUnder(sup, workers), nil, 8)
+		return snapshotDiff(sup)
+	})
 	if ref.report.PerGroup[0].Completions == 0 || ref.report.PerGroup[1].Completions == 0 {
 		t.Fatalf("both groups must complete work: %+v", ref.report.PerGroup)
 	}
@@ -325,45 +299,6 @@ func TestPressureShareDegradesHeterogeneousColocation(t *testing.T) {
 	pressHomo := run(nil, false)
 	if !reflect.DeepEqual(uniHomo, pressHomo) {
 		t.Error("PressureShare diverged from UniformShare for a homogeneous fleet")
-	}
-}
-
-// TestScenarioQuantumMode runs a heterogeneous scenario on the legacy
-// bulk-synchronous timeline: per-group load delivery and attribution
-// must work there too, and group totals must sum to the fleet's.
-func TestScenarioQuantumMode(t *testing.T) {
-	sup, err := NewScenario(Scenario{
-		Machines:        2,
-		CoresPerMachine: 2,
-		Timeline:        TimelineQuantum,
-		Groups: []WorkloadGroup{
-			{Name: "fast", NewApp: newFastApp, Profile: fastSyntheticProfile(t),
-				Instances: 2, Load: NewConstantLoad(3, 4).WithRequestIters(10)},
-			{Name: "slow", NewApp: newSlowApp, Profile: syntheticProfile(t),
-				Instances: 2, Load: NewConstantLoad(4, 2).WithRequestIters(10)},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sup.Run(nil, 8); err != nil {
-		t.Fatal(err)
-	}
-	for _, rs := range sup.rounds {
-		var arr, comp, queue int
-		for _, gs := range rs.Groups {
-			arr += gs.Arrivals
-			comp += gs.Completions
-			queue += gs.QueueDepth
-		}
-		if arr != rs.Arrivals || comp != rs.Completions || queue != rs.QueueDepth {
-			t.Fatalf("round %d group sums (arr %d comp %d queue %d) != totals (%d %d %d)",
-				rs.Round, arr, comp, queue, rs.Arrivals, rs.Completions, rs.QueueDepth)
-		}
-	}
-	rep := sup.Report()
-	if rep.PerGroup[0].Completions == 0 || rep.PerGroup[1].Completions == 0 {
-		t.Fatalf("both groups must complete work in quantum mode: %+v", rep.PerGroup)
 	}
 }
 

@@ -40,12 +40,8 @@ func (s *Supervisor) Quantum() time.Duration { return s.cfg.Quantum }
 // streams (0 = a whole stream; streams cycle per group). Instants
 // inside an already-simulated round clamp to the next round's start —
 // a late arrival is folded in at the earliest instant the engine has
-// not yet passed. Returns the injected request's id. Event timeline
-// only.
+// not yet passed. Returns the injected request's id.
 func (s *Supervisor) InjectArrivalAt(at time.Time, group, iters int) (int, error) {
-	if !s.eventMode() {
-		return 0, fmt.Errorf("fleet: InjectArrivalAt requires the event timeline")
-	}
 	if group < 0 || group >= len(s.groups) {
 		return 0, fmt.Errorf("fleet: group %d out of range [0,%d]", group, len(s.groups)-1)
 	}
@@ -70,10 +66,10 @@ func (s *Supervisor) InjectArrivalAt(at time.Time, group, iters int) (int, error
 func (s *Supervisor) InjectedPending() int { return len(s.injected) }
 
 // seedInjected delivers the injected arrivals due in [start, end) as
-// evArrival events through the shared emit callback, so both event
-// engines handle gateway traffic exactly as they handle open-loop
-// load. Gateway-only groups (no LoadGen) also re-offer their parked
-// backlog here — the generator path's re-offer never runs for them.
+// evArrival events through the shared emit callback, so the engine
+// handles gateway traffic exactly as it handles open-loop load.
+// Gateway-only groups (no LoadGen) also re-offer their parked backlog
+// here — the generator path's re-offer never runs for them.
 func (s *Supervisor) seedInjected(gen *LoadGen, start, end time.Time, emit func(*event), acc [][]*Instance, arrivals *int) {
 	if len(s.pending) > 0 {
 		var still []*Request

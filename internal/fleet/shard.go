@@ -1,16 +1,16 @@
 package fleet
 
-// This file is the per-host half of the sharded parallel event engine
-// (the coordinator half lives in coordinator.go). Each Host owns a
+// This file is the per-host half of the event engine (the coordinator
+// half lives in coordinator.go). Each Host owns a
 // shard: a private event queue holding its residents' service
 // continuations, pre-routed arrivals, and drain retirements. Between
 // global synchronization barriers a shard advances independently of
 // every other shard — hosts couple only through the arbiter, placement
 // landings, and dispatch, all of which happen at barriers — so shards
 // execute concurrently on a bounded worker pool while remaining
-// bit-identical to the single-heap engine (see engine.go's evKind
-// ordering for the shared tie-break and docs/ARCHITECTURE.md for the
-// determinism argument).
+// bit-identical at every Workers value and to the single-heap test
+// oracle (see engine.go's evKind ordering for the shared tie-break and
+// docs/ARCHITECTURE.md for the determinism argument).
 
 import (
 	"fmt"
@@ -23,7 +23,7 @@ type shard struct {
 	host *Host
 
 	// eq is the shard-local event min-heap, ordered by the same
-	// (at, kind, seq) rule as the global queue; seq is per-shard.
+	// (at, kind, seq) rule (eventLess); seq is per-shard.
 	eq  []*event
 	seq uint64
 
@@ -234,8 +234,7 @@ func (sh *shard) handle(ev *event) {
 	case evArrival:
 		// Pre-routed arrival (SplitDispatch fast path): the coordinator
 		// drew the target at the window start; the request joins its
-		// queue at the arrival instant, exactly like the single-heap
-		// engine's dispatch at that event.
+		// queue at the arrival instant.
 		sh.record(TraceEvent{At: ev.at, Kind: TraceArrival, Instance: -1, Host: -1, State: -1, Group: sh.sup.groups[ev.req.Group].name})
 		if ev.inst.fluid {
 			// The queue being joined must be current at the arrival

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -9,12 +10,13 @@ import (
 )
 
 // diffResult is everything observable about a finished run that the
-// sharded engine must reproduce bit-identically: per-round statistics,
-// the aggregate report, per-host energy and DVFS state, and per-instance
-// terminal state. Trace events are compared canonically sorted — the
-// engines interleave simultaneous events of different hosts in
-// different (but individually deterministic) orders, so the trace is
-// equal as a multiset but not position by position.
+// engine must reproduce bit-identically from the single-heap refEngine
+// and at every Workers value: per-round statistics, the aggregate
+// report, per-host energy and DVFS state, and per-instance terminal
+// state. Trace events are compared canonically sorted — the two
+// interleave simultaneous events of different hosts in different (but
+// individually deterministic) orders, so the trace is equal as a
+// multiset but not position by position.
 type diffResult struct {
 	rounds []RoundStats
 	report Report
@@ -30,14 +32,72 @@ type instState struct {
 	Completed int
 }
 
-// Traces are canonicalized with the exported SortTrace — the same
-// ordering WriteTraceCSV applies, so what the tests compare is exactly
-// what users diff.
+// refWorkers, passed as a differential run's worker count, selects the
+// single-heap refEngine instead of the production engine.
+const refWorkers = 0
+
+func engineName(workers int) string {
+	if workers == refWorkers {
+		return "refEngine"
+	}
+	return fmt.Sprintf("Workers=%d", workers)
+}
+
+// stepper is what a differential run advances: the production
+// Supervisor, or the refEngine attached to one.
+type stepper interface {
+	Step(*LoadGen) (RoundStats, error)
+}
+
+func engineUnder(sup *Supervisor, workers int) stepper {
+	if workers == refWorkers {
+		return newRefEngine(sup)
+	}
+	return sup
+}
+
+func stepRounds(t *testing.T, eng stepper, gen *LoadGen, rounds int) {
+	t.Helper()
+	for r := 0; r < rounds; r++ {
+		if _, err := eng.Step(gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// snapshotDiff captures a finished run's observables. Traces are
+// canonicalized with the exported SortTrace — the same ordering
+// WriteTraceCSV applies, so what the tests compare is exactly what
+// users diff.
+func snapshotDiff(sup *Supervisor) diffResult {
+	res := diffResult{rounds: sup.rounds, report: sup.Report(), trace: sup.Trace()}
+	for _, h := range sup.Hosts() {
+		res.energy = append(res.energy, h.Energy())
+		res.states = append(res.states, h.State())
+	}
+	for _, inst := range sup.Instances() {
+		res.insts = append(res.insts, instState{Host: inst.HostIndex(), Retired: inst.Retired(), Completed: len(inst.allLats)})
+	}
+	SortTrace(res.trace)
+	return res
+}
+
+// assertEnginesAgree runs one seeded scenario on the refEngine and on
+// the production engine at Workers 1, 2, and 4, requires all four to be
+// bit-identical, and returns the reference result.
+func assertEnginesAgree(t *testing.T, name string, run func(workers int) diffResult) diffResult {
+	t.Helper()
+	ref := run(refWorkers)
+	for _, workers := range []int{1, 2, 4} {
+		assertDiffEqual(t, name, ref, run(workers), refWorkers, workers)
+	}
+	return ref
+}
 
 // runDiffScenario drives one seeded scenario at the given worker count
-// and snapshots its observable state. The scenario covers every
-// coupling edge of the sharded engine: a cluster-wide cap landing
-// mid-window, a migration whose source and destination live in
+// (refWorkers = the refEngine) and snapshots its observable state. The
+// scenario covers every coupling edge of the engine: a cluster-wide cap
+// landing mid-window, a migration whose source and destination live in
 // different shards, a drain whose retirement lands between barriers
 // (forcing the serial-window fallback), a mid-window start, and a
 // mid-window hard stop — all over open-loop Poisson work items (each
@@ -75,49 +135,36 @@ func runDiffScenario(t *testing.T, machines, instances, workers int, split bool,
 	sup.DrainAt(time.Unix(5, 0).Add(250*time.Millisecond), insts[0])
 	sup.StopAt(time.Unix(7, 0).Add(600*time.Millisecond), insts[2])
 
-	for r := 0; r < rounds; r++ {
-		if _, err := sup.Step(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	res := diffResult{rounds: sup.rounds, report: sup.Report(), trace: sup.Trace()}
-	for _, h := range sup.Hosts() {
-		res.energy = append(res.energy, h.Energy())
-		res.states = append(res.states, h.State())
-	}
-	for _, inst := range sup.Instances() {
-		res.insts = append(res.insts, instState{Host: inst.HostIndex(), Retired: inst.Retired(), Completed: len(inst.allLats)})
-	}
-	SortTrace(res.trace)
-	return res
+	stepRounds(t, engineUnder(sup, workers), g, rounds)
+	return snapshotDiff(sup)
 }
 
-func assertDiffEqual(t *testing.T, name string, ref, got diffResult, refWorkers, gotWorkers int) {
+func assertDiffEqual(t *testing.T, name string, ref, got diffResult, refW, gotW int) {
 	t.Helper()
+	refName, gotName := engineName(refW), engineName(gotW)
 	if !reflect.DeepEqual(ref.rounds, got.rounds) {
 		for i := range ref.rounds {
 			if i < len(got.rounds) && !reflect.DeepEqual(ref.rounds[i], got.rounds[i]) {
-				t.Fatalf("%s: round %d diverged between Workers=%d and Workers=%d:\n  %+v\nvs\n  %+v",
-					name, i, refWorkers, gotWorkers, ref.rounds[i], got.rounds[i])
+				t.Fatalf("%s: round %d diverged between %s and %s:\n  %+v\nvs\n  %+v",
+					name, i, refName, gotName, ref.rounds[i], got.rounds[i])
 			}
 		}
-		t.Fatalf("%s: rounds diverged between Workers=%d and Workers=%d", name, refWorkers, gotWorkers)
+		t.Fatalf("%s: rounds diverged between %s and %s", name, refName, gotName)
 	}
 	if !reflect.DeepEqual(ref.report, got.report) {
-		t.Fatalf("%s: reports diverged between Workers=%d and Workers=%d:\n  %+v\nvs\n  %+v",
-			name, refWorkers, gotWorkers, ref.report, got.report)
+		t.Fatalf("%s: reports diverged between %s and %s:\n  %+v\nvs\n  %+v",
+			name, refName, gotName, ref.report, got.report)
 	}
 	if !reflect.DeepEqual(ref.energy, got.energy) || !reflect.DeepEqual(ref.states, got.states) {
-		t.Fatalf("%s: host energy/state diverged between Workers=%d and Workers=%d", name, refWorkers, gotWorkers)
+		t.Fatalf("%s: host energy/state diverged between %s and %s", name, refName, gotName)
 	}
 	if !reflect.DeepEqual(ref.insts, got.insts) {
-		t.Fatalf("%s: instance terminal state diverged between Workers=%d and Workers=%d:\n  %+v\nvs\n  %+v",
-			name, refWorkers, gotWorkers, ref.insts, got.insts)
+		t.Fatalf("%s: instance terminal state diverged between %s and %s:\n  %+v\nvs\n  %+v",
+			name, refName, gotName, ref.insts, got.insts)
 	}
 	if !reflect.DeepEqual(ref.trace, got.trace) {
-		t.Fatalf("%s: canonically sorted traces diverged between Workers=%d and Workers=%d (%d vs %d events)",
-			name, refWorkers, gotWorkers, len(ref.trace), len(got.trace))
+		t.Fatalf("%s: canonically sorted traces diverged between %s and %s (%d vs %d events)",
+			name, refName, gotName, len(ref.trace), len(got.trace))
 	}
 }
 
@@ -125,15 +172,13 @@ func assertDiffEqual(t *testing.T, name string, ref, got diffResult, refWorkers,
 // a seeded 32-host run with join-shortest-queue dispatch — every
 // arrival a barrier — including a mid-window cap, a cross-shard
 // migration, a drain retiring between barriers, a mid-window start and
-// stop, must be bit-identical between the single-heap engine
-// (Workers=1) and the sharded engine at Workers=2 and Workers=4.
+// stop, must be bit-identical between the single-heap refEngine and
+// the production engine at Workers=1, 2, and 4.
 func TestShardedEngineBitIdenticalJSQ(t *testing.T) {
 	gen := func() *LoadGen { return NewConstantLoad(21, 40).WithRequestIters(10) }
-	ref := runDiffScenario(t, 32, 24, 1, false, gen, 10)
-	for _, workers := range []int{2, 4} {
-		got := runDiffScenario(t, 32, 24, workers, false, gen, 10)
-		assertDiffEqual(t, "jsq-32-host", ref, got, 1, workers)
-	}
+	ref := assertEnginesAgree(t, "jsq-32-host", func(workers int) diffResult {
+		return runDiffScenario(t, 32, 24, workers, false, gen, 10)
+	})
 	if ref.report.Completions == 0 {
 		t.Fatal("scenario completed no requests; the differential proves nothing")
 	}
@@ -142,13 +187,13 @@ func TestShardedEngineBitIdenticalJSQ(t *testing.T) {
 // TestShardedEngineBitIdenticalSplit exercises the SplitDispatch
 // per-shard fast path: arrivals are pre-routed at window starts and
 // execute as shard-local events, so windows span whole arbiter
-// intervals — the engines must still agree bit for bit, including the
-// seeded RNG draw sequence.
+// intervals — it must still agree with the refEngine bit for bit,
+// including the seeded RNG draw sequence.
 func TestShardedEngineBitIdenticalSplit(t *testing.T) {
 	gen := func() *LoadGen { return NewConstantLoad(9, 24).WithRequestIters(10) }
-	ref := runDiffScenario(t, 8, 10, 1, true, gen, 10)
-	got := runDiffScenario(t, 8, 10, 4, true, gen, 10)
-	assertDiffEqual(t, "split-8-host", ref, got, 1, 4)
+	ref := assertEnginesAgree(t, "split-8-host", func(workers int) diffResult {
+		return runDiffScenario(t, 8, 10, workers, true, gen, 10)
+	})
 	if ref.report.Completions == 0 {
 		t.Fatal("scenario completed no requests; the differential proves nothing")
 	}
@@ -160,11 +205,11 @@ func TestShardedEngineBitIdenticalSplit(t *testing.T) {
 // interval finer than the quantum (more ticks, more barriers).
 func TestShardedEngineBitIdenticalSaturated(t *testing.T) {
 	gen := func() *LoadGen { return NewSaturatingLoad(2) }
-	ref := runDiffScenario(t, 16, 24, 1, false, gen, 8)
-	got := runDiffScenario(t, 16, 24, 4, false, gen, 8)
-	assertDiffEqual(t, "saturated-16-host", ref, got, 1, 4)
+	assertEnginesAgree(t, "saturated-16-host", func(workers int) diffResult {
+		return runDiffScenario(t, 16, 24, workers, false, gen, 8)
+	})
 
-	run := func(workers int) diffResult {
+	assertEnginesAgree(t, "spike-subquantum-ticks", func(workers int) diffResult {
 		sup, err := New(Config{
 			Machines:        4,
 			CoresPerMachine: 2,
@@ -180,26 +225,17 @@ func TestShardedEngineBitIdenticalSaturated(t *testing.T) {
 		}
 		insts := startN(t, sup, 10)
 		sup.DrainAt(time.Unix(3, 0).Add(700*time.Millisecond), insts[3])
-		if err := sup.Run(NewSpikeLoad(7, 6, 24, 8, 2).WithRequestIters(10), 12); err != nil {
-			t.Fatal(err)
-		}
-		res := diffResult{rounds: sup.rounds, report: sup.Report(), trace: sup.Trace()}
-		for _, h := range sup.Hosts() {
-			res.energy = append(res.energy, h.Energy())
-			res.states = append(res.states, h.State())
-		}
-		SortTrace(res.trace)
-		return res
-	}
-	assertDiffEqual(t, "spike-subquantum-ticks", run(1), run(4), 1, 4)
+		stepRounds(t, engineUnder(sup, workers), NewSpikeLoad(7, 6, 24, 8, 2).WithRequestIters(10), 12)
+		return snapshotDiff(sup)
+	})
 }
 
 // runFaultDiffScenario drives the fault-laden two-group scenario at the
-// given worker count: a host crash, a correlated two-host rack outage,
-// a thermal throttle overlapping a scheduled cap change, a straggler, a
-// mid-window power-supply sag, and a cross-group migration — with
-// redispatch on, so crash landings re-offer displaced work across
-// shards at the landing barrier.
+// given worker count (refWorkers = the refEngine): a host crash, a
+// correlated two-host rack outage, a thermal throttle overlapping a
+// scheduled cap change, a straggler, a mid-window power-supply sag, and
+// a cross-group migration — with redispatch on, so crash landings
+// re-offer displaced work across shards at the landing barrier.
 func runFaultDiffScenario(t *testing.T, workers int) diffResult {
 	t.Helper()
 	sup, err := NewScenario(Scenario{
@@ -251,37 +287,21 @@ func runFaultDiffScenario(t *testing.T, workers int) diffResult {
 		t.Fatal(err)
 	}
 
-	for r := 0; r < 10; r++ {
-		if _, err := sup.Step(nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	res := diffResult{rounds: sup.rounds, report: sup.Report(), trace: sup.Trace()}
-	for _, h := range sup.Hosts() {
-		res.energy = append(res.energy, h.Energy())
-		res.states = append(res.states, h.State())
-	}
-	for _, inst := range sup.Instances() {
-		res.insts = append(res.insts, instState{Host: inst.HostIndex(), Retired: inst.Retired(), Completed: len(inst.allLats)})
-	}
-	SortTrace(res.trace)
-	return res
+	stepRounds(t, engineUnder(sup, workers), nil, 10)
+	return snapshotDiff(sup)
 }
 
 // TestFaultScenarioBitIdenticalAcrossWorkers is the fault subsystem's
 // differential acceptance test: the fault-laden scenario — every fault
 // kind, a correlated rack outage, displaced work redispatched across
 // shards, a cap change inside a throttle window — must be bit-identical
-// between the single-heap engine and the sharded engine at Workers=2
-// and Workers=4, including Report.Resilience (compared inside the
+// between the single-heap refEngine and the production engine at
+// Workers=1, 2, and 4, including Report.Resilience (compared inside the
 // report) and the canonically sorted trace.
 func TestFaultScenarioBitIdenticalAcrossWorkers(t *testing.T) {
-	ref := runFaultDiffScenario(t, 1)
-	for _, workers := range []int{2, 4} {
-		got := runFaultDiffScenario(t, workers)
-		assertDiffEqual(t, "faults-8-host", ref, got, 1, workers)
-	}
+	ref := assertEnginesAgree(t, "faults-8-host", func(workers int) diffResult {
+		return runFaultDiffScenario(t, workers)
+	})
 	ril := ref.report.Resilience
 	if ril == nil {
 		t.Fatal("fault scenario reported no Resilience")
@@ -297,13 +317,13 @@ func TestFaultScenarioBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedEngineAutoscaledReplay holds the sharded engine to the
-// single-heap reference on the full Fig. 8 replay — the autoscaler
-// issuing mid-quantum starts and drains round after round, the
+// TestShardedEngineAutoscaledReplay holds the engine to the refEngine
+// on the full Fig. 8 trace with the autoscaler attached the way Replay
+// attaches it — mid-quantum starts and drains round after round, the
 // harshest placement churn the repo produces.
 func TestShardedEngineAutoscaledReplay(t *testing.T) {
 	rates := Fig8Rates(40, 10, 2026)
-	run := func(workers int) *ReplayResult {
+	ref := assertEnginesAgree(t, "autoscaled-replay", func(workers int) diffResult {
 		sup, err := New(Config{
 			Machines:        2,
 			CoresPerMachine: 2,
@@ -316,19 +336,17 @@ func TestShardedEngineAutoscaledReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		startN(t, sup, 1)
-		res, err := Replay(sup, ReplayConfig{Rates: rates, Seed: 11, ReqIters: 10, SLO: SLO{P95: 1.3}})
+		scaler, err := NewHysteresisScaler(HysteresisConfig{SLO: SLO{P95: 1.3}, Max: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	ref, got := run(1), run(4)
-	if !reflect.DeepEqual(ref.Points, got.Points) {
-		for i := range ref.Points {
-			if !reflect.DeepEqual(ref.Points[i], got.Points[i]) {
-				t.Fatalf("replay round %d diverged between engines:\n  %+v\nvs\n  %+v", i, ref.Points[i], got.Points[i])
-			}
+		if err := sup.Autoscale(scaler, sup.cfg.Quantum/2); err != nil {
+			t.Fatal(err)
 		}
-		t.Fatal("replay diverged between engines")
+		stepRounds(t, engineUnder(sup, workers), NewTraceLoad(11, rates).WithRequestIters(10), len(rates))
+		return snapshotDiff(sup)
+	})
+	if len(ref.insts) < 2 {
+		t.Fatal("the autoscaler never started an instance; the differential proves nothing")
 	}
 }

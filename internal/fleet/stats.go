@@ -199,11 +199,9 @@ const reqFreeFloor = 4
 
 // drainRoundCounters moves the per-round instance counters (requests,
 // losses, latencies, beats) into the round's stats — totals and the
-// per-group attribution — and the run totals. Both timelines share it,
-// so quantum-mode and event-mode rounds report through the same
-// bookkeeping. All aggregation runs on supervisor-owned scratch
-// buffers: a steady-state round sorts and summarizes thousands of
-// latency samples without allocating.
+// per-group attribution — and the run totals. All aggregation runs on
+// supervisor-owned scratch buffers: a steady-state round sorts and
+// summarizes thousands of latency samples without allocating.
 //
 //fleetvet:noalloc
 func (s *Supervisor) drainRoundCounters(rs *RoundStats) {

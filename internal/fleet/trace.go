@@ -108,10 +108,10 @@ var traceKindRank = map[TraceKind]int{
 // order matching the event timeline's landing order at equal instants
 // and ties beyond that keeping their recorded sequence (the sort is
 // stable — fully tied events are interchangeable, so the order is
-// engine-independent). Both engines emit the same trace as a multiset
-// but interleave simultaneous events of different hosts in
-// engine-specific order; canonical sorting is what makes traces — and
-// their CSVs — diff cleanly across engines and Workers values.
+// engine-independent). The engine and the single-heap test oracle
+// emit the same trace as a multiset but interleave simultaneous events
+// of different hosts in their own order; canonical sorting is what
+// makes traces — and their CSVs — diff cleanly between them.
 func SortTrace(events []TraceEvent) {
 	sort.SliceStable(events, func(i, j int) bool {
 		a, b := events[i], events[j]
@@ -154,7 +154,7 @@ func (s *Supervisor) Trace() []TraceEvent {
 
 // WriteTraceCSV writes trace events as CSV with a header row, in the
 // canonical SortTrace order (the input slice is not modified) — so the
-// CSV of a run is byte-identical across engines and Workers values.
+// CSV of a run is byte-identical at every Workers value.
 // Columns (see docs/TRACE_FORMAT.md for the full schema):
 //
 //	t_seconds — virtual seconds since the run epoch (fixed 6 decimals)

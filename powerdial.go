@@ -218,8 +218,6 @@ type (
 	FleetConfig = fleet.Config
 	// Fleet is the fleet supervisor.
 	Fleet = fleet.Supervisor
-	// FleetTimeline selects the fleet's execution engine.
-	FleetTimeline = fleet.Timeline
 	// FleetInstance is one controlled application instance.
 	FleetInstance = fleet.Instance
 	// FleetHost is one simulated machine of a fleet.
@@ -289,14 +287,6 @@ type (
 	FleetResilience = fleet.Resilience
 	// FleetReplayFaultPoint is one replay quantum's fault counters.
 	FleetReplayFaultPoint = fleet.ReplayFaultPoint
-)
-
-// Fleet timeline selectors.
-const (
-	// FleetTimelineEvent is the discrete-event scheduler (default).
-	FleetTimelineEvent = fleet.TimelineEvent
-	// FleetTimelineQuantum is the legacy bulk-synchronous loop.
-	FleetTimelineQuantum = fleet.TimelineQuantum
 )
 
 // Fault classes injectable by a fleet fault model.
@@ -436,7 +426,7 @@ func WriteFleetTraceCSV(w io.Writer, events []FleetTraceEvent) error {
 
 // SortFleetTrace sorts trace events into the canonical deterministic
 // (instant, kind, host, ...) order, making traces diff cleanly across
-// engines and Workers values.
+// runs and Workers values.
 func SortFleetTrace(events []FleetTraceEvent) { fleet.SortTrace(events) }
 
 // NewSyntheticApp builds the analytically exact synthetic workload used
