@@ -177,6 +177,11 @@ func runServe(o options) error {
 	st := srv.Stats()
 	fmt.Printf("\nserve summary: rounds=%d submitted=%d accepted=%d completions=%d shed=%d invalid=%d overflow=%d\n",
 		st.Round, st.Submitted, st.Accepted, st.Completions, st.Shed, st.Invalid, st.Overflow)
+	if o.twin {
+		per := float64(max(st.TwinAdvises, 1))
+		fmt.Printf("twin: advises=%d errors=%d, %.1f candidates and %.1f replica rounds per advice\n",
+			st.TwinAdvises, st.TwinErrors, float64(st.TwinCandidates)/per, float64(st.TwinRounds)/per)
+	}
 	rep := sup.Report()
 	fmt.Printf("latency: p50 %.2f s, p95 %.2f s, p99 %.2f s; mean power %.1f W, energy %.0f J\n",
 		rep.P50Latency, rep.P95Latency, rep.P99Latency, rep.MeanPower, rep.TotalEnergyJ)

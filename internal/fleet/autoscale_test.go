@@ -453,6 +453,80 @@ func TestReplaySustainedOverloadCounted(t *testing.T) {
 	}
 }
 
+// TestReplayStopAtViolationIsPrefix pins what StopAtViolation promises
+// a caller that only wants the verdict: on an overloaded trace the
+// stopped replay is an exact prefix of the full one, ending on the
+// first round that counts toward Violations; on a trace the fleet
+// holds, nothing stops it and the whole result is the full one.
+func TestReplayStopAtViolationIsPrefix(t *testing.T) {
+	run := func(cores int, cfg ReplayConfig) *ReplayResult {
+		t.Helper()
+		sup, err := New(Config{
+			Machines:        1,
+			CoresPerMachine: cores,
+			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
+			Profile:         syntheticProfile(t),
+			ControlDisabled: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		startN(t, sup, 1)
+		res, err := Replay(sup, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	// Sustained overload (TestReplaySustainedOverloadCounted's fixture):
+	// the first violation is several rounds in, behind the settle window
+	// of the initial scale-up, and more follow it.
+	over := ReplayConfig{Rates: make([]float64, 14), Seed: 3, ReqIters: 10, SLO: SLO{P95: 1.0}}
+	for i := range over.Rates {
+		over.Rates[i] = 30
+	}
+	full := run(2, over)
+	over.StopAtViolation = true
+	stopped := run(2, over)
+	k := -1
+	for i, pt := range full.Points {
+		if pt.SLOViolated && !pt.Blackout {
+			k = i
+			break
+		}
+	}
+	if k <= 0 || full.Violations < 2 {
+		t.Fatalf("fixture: first counted violation at round %d of %d, %d in all; want one past round 0 and more after it",
+			k, len(full.Points), full.Violations)
+	}
+	if stopped.Violations != 1 {
+		t.Errorf("stopped replay counts %d violations, want 1", stopped.Violations)
+	}
+	if !reflect.DeepEqual(stopped.Points, full.Points[:k+1]) {
+		t.Errorf("stopped replay has %d points, not the first %d of the full replay", len(stopped.Points), k+1)
+	}
+	var watts float64
+	for _, pt := range stopped.Points {
+		watts += pt.PowerWatts
+	}
+	if want := watts / float64(k+1); stopped.MeanPower != want {
+		t.Errorf("stopped MeanPower = %v, want %v (mean over the %d rounds run)", stopped.MeanPower, want, k+1)
+	}
+
+	// A trace four cores hold: no violation, so nothing to stop at.
+	calm := ReplayConfig{Rates: Fig8Rates(30, 10, 2026), Seed: 11, ReqIters: 10, SLO: SLO{P95: 1.3}}
+	full = run(4, calm)
+	calm.StopAtViolation = true
+	stopped = run(4, calm)
+	if full.Violations != 0 {
+		t.Fatalf("fixture: calm trace has %d violations, want 0", full.Violations)
+	}
+	if !reflect.DeepEqual(stopped, full) {
+		t.Error("with no violation the stopped replay differs from the full one")
+	}
+}
+
 // TestReadRatesCSV covers the recorded-trace loader.
 func TestReadRatesCSV(t *testing.T) {
 	in := "rate\n4.5\n\n10\n0.5\n"

@@ -47,6 +47,13 @@ type ReplayConfig struct {
 	// already incurred, so the window must outlive the queue itself
 	// (default 2).
 	SettleRounds int
+	// StopAtViolation ends the replay after the first round that counts
+	// toward ReplayResult.Violations, for a caller that wants a verdict
+	// rather than the timeline. The result is an exact prefix of the full
+	// replay — the same Points up to and including that round, Violations
+	// == 1, MeanPower averaged over the rounds run; a trace with no
+	// violation runs to its end and the result is the full one.
+	StopAtViolation bool
 }
 
 // ReplayPoint is one reporting quantum of a replay — one CSV row.
@@ -268,8 +275,11 @@ func Replay(sup *Supervisor, cfg ReplayConfig) (*ReplayResult, error) {
 		res.MeanPower += rs.PowerWatts
 		res.Completions += rs.Completions
 		res.Points = append(res.Points, pt)
+		if cfg.StopAtViolation && res.Violations > 0 {
+			break
+		}
 	}
-	res.MeanPower /= float64(len(cfg.Rates))
+	res.MeanPower /= float64(len(res.Points))
 	if res.MinInstances == math.MaxInt {
 		res.MinInstances = 0
 	}

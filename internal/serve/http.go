@@ -19,13 +19,21 @@ type Stats struct {
 	Shed        int64 `json:"shed"`
 	Invalid     int64 `json:"invalid"`
 	Completions int64 `json:"completions"`
+	// TwinAdvises, TwinCandidates, and TwinRounds are the twin's work
+	// counters — snapshots searched, candidate counts replayed, replica
+	// rounds simulated — and TwinErrors the snapshots the async twin
+	// failed to advise on (all zero without a twin).
+	TwinAdvises    int64 `json:"twin_advises"`
+	TwinCandidates int64 `json:"twin_candidates"`
+	TwinRounds     int64 `json:"twin_rounds"`
+	TwinErrors     int64 `json:"twin_errors"`
 }
 
 // Stats snapshots the serving counters. Counters are read
 // individually, so a snapshot taken mid-round may be transiently
 // inconsistent (e.g. submitted not yet drained) but never torn.
 func (s *Server) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Round:       s.Round(),
 		Submitted:   s.cfg.Gateway.Submitted(),
 		Overflow:    s.cfg.Gateway.Overflow(),
@@ -33,8 +41,18 @@ func (s *Server) Stats() Stats {
 		Shed:        s.Shed(),
 		Invalid:     s.Invalid(),
 		Completions: s.Completions(),
+		TwinErrors:  s.TwinErrors(),
 	}
+	if tw := s.cfg.Twin; tw != nil {
+		st.TwinAdvises, st.TwinCandidates, st.TwinRounds = tw.Advises(), tw.Candidates(), tw.Rounds()
+	}
+	return st
 }
+
+// maxItersDigits bounds the iters query value so the digit loop cannot
+// overflow int: a wrapped (possibly negative) count would make
+// InjectArrivalAt serve a whole stream.
+const maxItersDigits = 7
 
 // Handler exposes the gateway over HTTP:
 //
@@ -42,6 +60,8 @@ func (s *Server) Stats() Stats {
 //	    202 Accepted  — queued for the next round's admission decision
 //	    429 Too Many Requests — intake buffer full, request refused
 //	    404 Not Found — unknown group name
+//	    400 Bad Request — iters not a decimal number of at most
+//	        maxItersDigits digits
 //	GET /stats
 //	    200 with the Stats JSON
 //
@@ -65,6 +85,10 @@ func (s *Server) Handler(defaultIters int) http.Handler {
 		}
 		iters := defaultIters
 		if v := q.Get("iters"); v != "" {
+			if len(v) > maxItersDigits {
+				http.Error(w, "bad iters", http.StatusBadRequest)
+				return
+			}
 			n := 0
 			for _, c := range v {
 				if c < '0' || c > '9' {

@@ -65,6 +65,7 @@ type Server struct {
 	invalid     atomic.Int64
 	completions atomic.Int64
 	round       atomic.Int64
+	twinErrors  atomic.Int64
 
 	groupIdx map[string]int
 
@@ -208,12 +209,15 @@ func (s *Server) Close() {
 }
 
 // twinLoop is the async twin: advise on each snapshot the serving loop
-// offers, publish the latest recommendation, repeat.
+// offers, publish the latest recommendation, repeat. A failed advice is
+// counted and publishes nothing, so the last good recommendation stays
+// in force.
 func (s *Server) twinLoop() {
 	defer close(s.twinDone)
 	for snap := range s.snapCh {
 		rec, err := s.cfg.Twin.Advise(snap)
 		if err != nil {
+			s.twinErrors.Add(1)
 			continue
 		}
 		// Replace any unconsumed advice with the fresh one.
@@ -245,3 +249,7 @@ func (s *Server) Completions() int64 { return s.completions.Load() }
 
 // Round returns how many rounds the loop has served.
 func (s *Server) Round() int64 { return s.round.Load() }
+
+// TwinErrors returns how many snapshots the async twin failed to
+// advise on.
+func (s *Server) TwinErrors() int64 { return s.twinErrors.Load() }

@@ -57,6 +57,58 @@ func TestAsyncTwinLoopLivesAndStops(t *testing.T) {
 	}
 }
 
+// TestAsyncTwinErrorsCountedAdviceKept pins what the async twin does
+// when it cannot advise: every failed snapshot is counted, in Stats
+// too, and the last good recommendation stays in force — the loop
+// neither stalls nor clears the scaler.
+func TestAsyncTwinErrorsCountedAdviceKept(t *testing.T) {
+	prof := syntheticProfile(t)
+	sup, err := fleet.NewScenario(webScenario(prof, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := NewTwin(TwinConfig{
+		Scenario:     func() fleet.Scenario { return fleet.Scenario{} }, // builds no groups: every Advise fails
+		SLO:          fleet.SLO{P95: 0.6},
+		MaxInstances: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := &TwinScaler{Inner: constScaler(2)}
+	ts.SetAdvice(3) // the last good advice
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	gw := NewGateway(clk, 64)
+	srv, err := New(Config{Supervisor: sup, Clock: clk, Gateway: gw, Twin: twin, TwinScaler: ts, AsyncTwin: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 5
+	for r := 0; r < rounds; r++ {
+		gw.Submit(0, 10)
+		if err := srv.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Close returns once the twin goroutine has worked off every
+	// snapshot it was handed: round 0's at least (the channel was
+	// empty), at most one a round.
+	srv.Close()
+	st := srv.Stats()
+	if st.TwinErrors < 1 || st.TwinErrors > rounds {
+		t.Errorf("twin_errors = %d after %d rounds with a failing twin, want 1..%d", st.TwinErrors, rounds, rounds)
+	}
+	if st.TwinErrors != srv.TwinErrors() || st.TwinAdvises != st.TwinErrors || st.TwinCandidates != 0 {
+		t.Errorf("stats %+v: want twin_errors = TwinErrors() = twin_advises (every search failed) and no candidate replayed", st)
+	}
+	if got := ts.Advice(); got != 3 {
+		t.Errorf("advice = %d after failed advices, want the last good one (3) kept", got)
+	}
+	if st.Round != rounds {
+		t.Errorf("served %d rounds, want %d: a failing twin must not stop the loop", st.Round, rounds)
+	}
+}
+
 // BenchmarkServeSwarm is the client-swarm load test: a pool of
 // producer goroutines hammers the gateway while the serving loop runs
 // rounds on a virtual clock, so the benchmark measures the serving

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/fleet"
 )
@@ -41,6 +42,10 @@ type TwinConfig struct {
 // TwinScaler clamps the measurement-driven policy to.
 type Twin struct {
 	cfg TwinConfig
+
+	advises    atomic.Int64
+	candidates atomic.Int64
+	rounds     atomic.Int64
 }
 
 // NewTwin validates cfg and builds a twin.
@@ -83,6 +88,23 @@ func (t *Twin) Advise(snap fleet.FleetSnapshot) (int, error) {
 	if len(snap.Groups) == 0 {
 		return 0, fmt.Errorf("serve: snapshot has no groups")
 	}
+	t.advises.Add(1)
+	rates := t.projection(snap)
+	for n := 1; n <= t.cfg.MaxInstances; n++ {
+		ok, err := t.holds(snap, rates, n)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			return n, nil
+		}
+	}
+	return t.cfg.MaxInstances, nil
+}
+
+// projection is the what-if arrival trace: the snapshot's recent peak
+// rate sustained over the horizon.
+func (t *Twin) projection(snap fleet.FleetSnapshot) []float64 {
 	peak := 1.0
 	for _, v := range snap.Groups[0].RecentArrivals {
 		if v > peak {
@@ -93,33 +115,52 @@ func (t *Twin) Advise(snap fleet.FleetSnapshot) (int, error) {
 	for i := range rates {
 		rates[i] = peak
 	}
-	for n := 1; n <= t.cfg.MaxInstances; n++ {
-		sc := t.cfg.Scenario()
-		if len(sc.Groups) == 0 {
-			return 0, fmt.Errorf("serve: twin scenario factory built no groups")
-		}
-		sc.Groups[0].Instances = n
-		sup, err := fleet.NewFromSnapshot(sc, snap)
-		if err != nil {
-			return 0, err
-		}
-		res, err := fleet.Replay(sup, fleet.ReplayConfig{
-			Rates:    rates,
-			Seed:     t.cfg.Seed,
-			ReqIters: t.cfg.ReqIters,
-			SLO:      t.cfg.SLO,
-			Scaler:   fixedScaler(n),
-		})
-		if err != nil {
-			return 0, err
-		}
-		last := res.Points[len(res.Points)-1]
-		if res.Violations == 0 && float64(last.QueueDepth) <= float64(n)*t.cfg.SLO.QueuePerInstance {
-			return n, nil
-		}
-	}
-	return t.cfg.MaxInstances, nil
+	return rates
 }
+
+// holds replays candidate count n from the snapshot against rates and
+// reports whether it keeps the SLO: no accountable violation over the
+// horizon and an end-of-horizon backlog inside the queue watermark.
+// One counted violation already rejects the candidate and the count
+// never falls, so the replay stops there: a failing candidate costs
+// its rounds to the first violation, only a holding one the horizon.
+func (t *Twin) holds(snap fleet.FleetSnapshot, rates []float64, n int) (bool, error) {
+	sc := t.cfg.Scenario()
+	if len(sc.Groups) == 0 {
+		return false, fmt.Errorf("serve: twin scenario factory built no groups")
+	}
+	sc.Groups[0].Instances = n
+	sup, err := fleet.NewFromSnapshot(sc, snap)
+	if err != nil {
+		return false, err
+	}
+	res, err := fleet.Replay(sup, fleet.ReplayConfig{
+		Rates:           rates,
+		Seed:            t.cfg.Seed,
+		ReqIters:        t.cfg.ReqIters,
+		SLO:             t.cfg.SLO,
+		Scaler:          fixedScaler(n),
+		StopAtViolation: true,
+	})
+	if err != nil {
+		return false, err
+	}
+	t.candidates.Add(1)
+	t.rounds.Add(int64(len(res.Points)))
+	last := res.Points[len(res.Points)-1]
+	return res.Violations == 0 && float64(last.QueueDepth) <= float64(n)*t.cfg.SLO.QueuePerInstance, nil
+}
+
+// Advises returns how many snapshots the twin has searched.
+func (t *Twin) Advises() int64 { return t.advises.Load() }
+
+// Candidates returns how many candidate counts it has replayed.
+func (t *Twin) Candidates() int64 { return t.candidates.Load() }
+
+// Rounds returns how many replica rounds those replays simulated — at
+// most Candidates × Horizon, less by every round an early verdict
+// saved.
+func (t *Twin) Rounds() int64 { return t.rounds.Load() }
 
 // TwinScaler feeds the twin's recommendation forward into a
 // measurement-driven autoscaling policy: the inner policy's proposal
