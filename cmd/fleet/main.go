@@ -54,7 +54,7 @@ func main() {
 	rate := flag.Float64("rate", 6, "mean arrivals per quantum (constant/ramp/spike)")
 	reqIters := flag.Int("req-iters", 0, "iterations per request work item (0 = whole stream)")
 	seed := flag.Int64("seed", 1, "load generator seed")
-	workers := flag.Int("workers", 0, "shard worker pool size: 0 = GOMAXPROCS, 1 = run the per-host shards inline on one goroutine, N>1 = an N-worker pool (bit-identical results at any value)")
+	workers := flag.Int("workers", 0, "shard worker pool size: 0 = GOMAXPROCS, 1 = run the per-host shards inline on one goroutine, N>1 = an N-worker pool for windows holding more than a few dozen events (smaller ones run inline; bit-identical results at any value)")
 	fluid := flag.Int("fluid", 0, "hybrid fluid/discrete engine: instances whose queue reaches this depth leave the event timeline and drain analytically until the backlog falls below half the threshold (0 = pure discrete)")
 	epoch := flag.Bool("epoch", false, "batch join-shortest-queue dispatch per coordinator window instead of per arrival")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")

@@ -25,8 +25,9 @@ type scenarioSpec struct {
 	Budget   *float64 `json:"budget"`
 	// Rounds is the quanta to simulate (0 = the -rounds flag).
 	Rounds int `json:"rounds"`
-	// Workers sizes the shard worker pool (0 = GOMAXPROCS; 1 = inline on
-	// one goroutine — results bit-identical at any value).
+	// Workers sizes the shard worker pool large windows fan out to (0 =
+	// GOMAXPROCS; 1 = inline on one goroutine — results bit-identical at
+	// any value).
 	Workers int `json:"workers"`
 	// SplitDispatch routes arrivals by seeded uniform split within the
 	// group instead of join-shortest-queue.

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -266,5 +267,41 @@ func BenchmarkEventQueue(b *testing.B) {
 		for len(sh.eq) > 0 {
 			sh.popHeap()
 		}
+	}
+}
+
+// BenchmarkFleetJSQWindows is the rung for the coordinator's per-window
+// fixed cost: the 8 × 8 one-beat JSQ fleet (jsqWindowsFleet), where
+// every arrival is a barrier and a window holds one or two events. One
+// op is one steady-state round of ≈ 2,060 windows; ns/window and
+// allocs/window are what a window costs whole, its events included.
+// Workers=1 has no pool, so the gap between the two legs is what
+// Workers > 1 adds to a small window — within ≈ 10 % since small
+// windows run on the caller's goroutine.
+func BenchmarkFleetJSQWindows(b *testing.B) {
+	prof := benchProfile(b)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("Workers=%d", workers), func(b *testing.B) {
+			sup, gen := jsqWindowsFleet(b, prof, workers)
+			if err := sup.Run(gen, 5); err != nil { // warm to steady state
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			windows, fanOuts := sup.windows, sup.fanOuts
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sup.Step(gen); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(sup.windows - windows)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/window")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/window")
+			b.ReportMetric(float64(sup.fanOuts-fanOuts)/n, "fanouts/window")
+		})
 	}
 }

@@ -6,10 +6,12 @@ package fleet
 // landings, and join-shortest-queue arrivals (which need global queue
 // depths).
 // Between consecutive barriers no host can influence another, so every
-// shard advances through the window independently on a bounded worker
-// pool (Config.Workers); at each barrier the coordinator flushes shard
-// trace buffers in host-index order, applies the barrier's events in
-// evKind order, and releases the next window.
+// shard advances through the window independently: the coordinator
+// serves the window's first inlineEventBudget events itself and fans
+// what is left, if anything, out over a bounded worker pool
+// (Config.Workers); at each barrier it flushes shard trace buffers in
+// host-index order, applies the barrier's events in evKind order, and
+// releases the next window.
 //
 // Two couplings do not sit at statically known instants and are handled
 // specially:
@@ -27,10 +29,11 @@ package fleet
 //     merging shard queues by (instant, kind, host index, seq) — the
 //     canonical order that keeps results bit-identical at every
 //     Workers value. Windows without live drains (the common case,
-//     and the entire saturating benchmark) run fully parallel.
+//     and the entire saturating benchmark) go to runParallel whole.
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,6 +47,7 @@ import (
 // deterministic virtual-time order, and closes the round.
 func (s *Supervisor) stepSharded(gen *LoadGen) (RoundStats, error) {
 	s.retireDone()
+	s.drainsValid = false // drains and retirements land between rounds too
 	start := s.Now()
 	end := start.Add(s.cfg.Quantum)
 
@@ -145,11 +149,13 @@ func (s *Supervisor) stepSharded(gen *LoadGen) (RoundStats, error) {
 				// host's work (and re-offering it to the survivors) sees
 				// exact queue state.
 				s.landFault(g.at, g.fault)
+				s.drainsValid = false
 				s.arbitrate(g.at)
 				acc = s.acceptingByGroup()
 				s.redispatchPending(acc, wake, g.at)
 			case evPlace:
 				from := g.place.inst.host
+				s.drainsValid = false
 				if !s.landPlace(g.at, g.place) {
 					break
 				}
@@ -295,9 +301,9 @@ func crossLess(a, b *event) bool {
 // canonical merge order until the earliest retirement, the rest of the
 // fleet catches up to that instant in parallel, the retirement lands
 // and re-arbitrates, and the cycle repeats. Fleets with no live drains
-// (the common case, and the entire scale benchmark) take the fully
-// parallel path immediately; fleets draining one instance serialize one
-// shard instead of all of them.
+// (the common case, and the entire scale benchmark) go straight to
+// runParallel; fleets draining one instance serialize one shard instead
+// of all of them.
 func (s *Supervisor) runWindow(barrier time.Time) error {
 	for {
 		drains := s.drainingShards()
@@ -319,40 +325,92 @@ func (s *Supervisor) runWindow(barrier time.Time) error {
 			return err
 		}
 		s.retireAt(inst, tr)
+		s.drainsValid = false
 		s.arbitrate(tr)
 	}
 }
 
-// runParallel fans the shards with work before end out over the worker
-// pool, skipping shards marked excluded (drain shards, serialized by
-// runUntilRetire — a retirement surfacing inside a parallel run would
-// break the coordinator invariant). The work list is ordered
-// longest-processing-time first (pending events plus fluid residents)
-// so a skewed fleet — a few heavy hosts among many light ones — starts
-// its stragglers first instead of discovering them last.
+// inlineEventBudget is how many events of a window the coordinator
+// serves on its own goroutine before handing the rest to the worker
+// pool. Starting the pool costs a fixed ≈ 1.4 µs per window on one
+// thread (goroutine start and stack growth, WaitGroup, the LPT sort)
+// and ≈ 2.4 µs across two, an event ≈ 0.3 µs, and under
+// join-shortest-queue dispatch every arrival is a barrier, so most
+// windows hold a handful of events. 64 is the smallest power of four
+// past the measured knee (fleet_openloop op_ms_p50 at 16: 2.25 ms, at
+// 64: 1.99, at 256: 2.00; serve_ingress is flat, 3.0, from 16 up) and
+// bounds what a wide window loses to the serial prefix: 64 of a
+// 128-host saturated window's 5,120 events. Events served are counted,
+// not estimated from queue lengths: pending events understate a
+// saturated window forty-fold and overstate a serving one, and a count
+// keeps the inline-or-pool decision reproducible. See
+// docs/ARCHITECTURE.md.
+const inlineEventBudget = 64
+
+// runParallel advances the shards with work before end, skipping shards
+// marked excluded (drain shards, serialized by runUntilRetire — a
+// retirement surfacing inside a parallel run would break the
+// coordinator invariant). Work first: the caller serves shards in host
+// order against one shared event budget, and a window that finishes
+// inside it starts no goroutine, allocates nothing and sorts nothing.
+// Otherwise the unfinished shards — the interrupted one included, which
+// resumes — go to fanOut. Workers: 1 has no pool, hence no budget.
 func (s *Supervisor) runParallel(end time.Time) error {
+	s.windows++
+	budget := inlineEventBudget
+	if s.inlineBudget != 0 {
+		budget = s.inlineBudget
+	}
+	if s.cfg.Workers <= 1 {
+		budget = math.MaxInt
+	}
 	work := s.workScratch[:0]
 	for _, h := range s.hosts {
 		sh := h.shard
-		if sh.excluded {
-			continue
-		}
 		// Shards with fluid residents but no discrete events still need
 		// the window: their flows render to end (and may re-materialize
 		// into discrete work) inside run.
-		if sh.hasWorkBefore(end) || len(sh.fluidInsts) > 0 {
-			work = append(work, sh)
+		if sh.excluded || !(sh.hasWorkBefore(end) || len(sh.fluidInsts) > 0) {
+			continue
 		}
+		if budget > 0 {
+			served, done := sh.run(end, budget)
+			if sh.err != nil {
+				return sh.err
+			}
+			budget -= served
+			if done {
+				continue
+			}
+		}
+		work = append(work, sh)
 	}
+	if len(work) == 0 {
+		return nil
+	}
+	err := s.fanOut(work, end)
+	for i := range work {
+		work[i] = nil
+	}
+	s.workScratch = work[:0]
+	return err
+}
+
+// fanOut runs the given shards to end on the worker pool. The work list
+// is ordered longest-processing-time first (pending events plus fluid
+// residents) so a skewed fleet — a few heavy hosts among many light
+// ones — starts its stragglers first instead of discovering them last.
+func (s *Supervisor) fanOut(work []*shard, end time.Time) error {
 	workers := s.cfg.Workers
 	if workers > len(work) {
 		workers = len(work)
 	}
 	if workers <= 1 {
 		for _, sh := range work {
-			sh.run(end)
+			sh.run(end, math.MaxInt)
 		}
 	} else {
+		s.fanOuts++
 		sort.SliceStable(work, func(i, j int) bool {
 			wi := len(work[i].eq) + len(work[i].fluidInsts)
 			wj := len(work[j].eq) + len(work[j].fluidInsts)
@@ -373,23 +431,18 @@ func (s *Supervisor) runParallel(end time.Time) error {
 					if i >= int64(len(work)) {
 						return
 					}
-					work[i].run(end)
+					work[i].run(end, math.MaxInt)
 				}
 			}()
 		}
 		wg.Wait()
 	}
-	var err error
 	for _, sh := range work {
-		if sh.err != nil && err == nil {
-			err = sh.err
+		if sh.err != nil {
+			return sh.err
 		}
 	}
-	for i := range work {
-		work[i] = nil
-	}
-	s.workScratch = work[:0]
-	return err
+	return nil
 }
 
 // runUntilRetire advances the drain shards — and only them — in
@@ -442,25 +495,30 @@ func (s *Supervisor) runUntilRetire(drains []*shard, barrier time.Time) (time.Ti
 	}
 }
 
-// drainingShards collects the shards hosting a live draining instance,
-// in host-index order, marking them excluded for runParallel (the
-// previous call's marks are cleared first). Draining only begins at
-// barriers or round boundaries, so the per-phase recomputation is
-// conservative and exact.
+// drainingShards returns the shards hosting a live draining instance,
+// in host-index order, marked excluded for runParallel. Draining only
+// begins at place and fault landings or round boundaries and ends at
+// retirements, so the answer is cached and recomputed only after one
+// of those (drainsValid) — an arrival barrier does not rescan the fleet.
 func (s *Supervisor) drainingShards() []*shard {
-	for _, sh := range s.drainScratch {
-		sh.excluded = false
-	}
-	drains := s.drainScratch[:0]
-	for _, inst := range s.insts {
-		if !inst.retired && inst.draining && inst.host != nil && !inst.host.shard.excluded {
-			inst.host.shard.excluded = true
-			drains = append(drains, inst.host.shard)
+	if !s.drainsValid {
+		for _, sh := range s.drainScratch {
+			sh.excluded = false
 		}
+		drains := s.drainScratch[:0]
+		for _, inst := range s.insts {
+			if !inst.retired && inst.draining && inst.host != nil && !inst.host.shard.excluded {
+				inst.host.shard.excluded = true
+				drains = append(drains, inst.host.shard)
+			}
+		}
+		sort.Slice(drains, func(i, j int) bool { return drains[i].host.index < drains[j].host.index })
+		s.drainScratch, s.drainsValid = drains, true
 	}
-	sort.Slice(drains, func(i, j int) bool { return drains[i].host.index < drains[j].host.index })
-	s.drainScratch = drains
-	return drains
+	if s.drainCheck != nil {
+		s.drainCheck(s.drainScratch)
+	}
+	return s.drainScratch
 }
 
 // flushShardTraces merges each shard's window-local trace buffer into

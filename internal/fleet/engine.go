@@ -200,39 +200,47 @@ func (s *Supervisor) serve(now time.Time, inst *Instance, sink engineSink) error
 		sink.activate(inst, inst.pausedUntil)
 		return nil
 	}
-	if c := inst.clk.Now(); c.Before(now) {
+	// The instance clock is read once here and once after the beat:
+	// nothing but Idle and Step advances it in between, and each read is
+	// a mutex round-trip.
+	c := inst.clk.Now()
+	if c.Before(now) {
 		// The instance idled (or sat in blackout) since its last beat:
 		// advance its view to the event time, charging idle power for
-		// exactly the gap — no quantum-boundary idle fill.
-		inst.view.Idle(now.Sub(c))
+		// exactly the gap — no quantum-boundary idle fill. Idle advances
+		// the clock by the gap, so c.Add(gap) is the clock's own value.
+		gap := now.Sub(c)
+		inst.view.Idle(gap)
+		c = c.Add(gap)
 	}
 	if inst.sess == nil {
 		if len(inst.queue) == 0 {
 			if inst.selfFeed {
 				req := inst.takeRequest()
-				req.ID, req.Group, req.StreamIdx, req.Iters, req.Arrival = -1, inst.grp.index, inst.feedIdx, inst.reqIters, inst.clk.Now()
+				req.ID, req.Group, req.StreamIdx, req.Iters, req.Arrival = -1, inst.grp.index, inst.feedIdx, inst.reqIters, c
 				inst.queue = append(inst.queue, req)
 				inst.feedIdx++
 				inst.minted++
-				sink.record(TraceEvent{At: inst.clk.Now(), Kind: TraceArrival, Instance: inst.id, Host: -1, State: -1, Group: inst.grp.name})
+				sink.record(TraceEvent{At: c, Kind: TraceArrival, Instance: inst.id, Host: -1, State: -1, Group: inst.grp.name})
 			} else {
 				if inst.draining {
 					// Retirement changes the host's demand and re-divides
 					// the budget — a global action, scheduled as a
 					// first-class retire event at this exact instant.
-					sink.scheduleRetire(inst, inst.clk.Now())
+					sink.scheduleRetire(inst, c)
 				}
 				return nil // idle until the next dispatch re-activates
 			}
 		}
 		inst.cur = inst.popRequest()
 		inst.startSession(inst.cur)
-		inst.sessStart = inst.clk.Now()
+		inst.sessStart = c
 	}
 	done, err := inst.sess.Step()
 	if err != nil {
 		return fmt.Errorf("instance %d: %w", inst.id, err)
 	}
+	c = inst.clk.Now()
 	if done {
 		if inst.sess.Drained() {
 			// The runtime is winding down (hard stop): park until the
@@ -243,19 +251,19 @@ func (s *Supervisor) serve(now time.Time, inst *Instance, sink engineSink) error
 			inst.sess, inst.cur = nil, nil
 			return nil
 		}
-		if !inst.clk.Now().After(inst.sessStart) {
+		if !c.After(inst.sessStart) {
 			return fmt.Errorf("fleet: request on instance %d completed without advancing virtual time (zero-cost stream?)", inst.id)
 		}
-		lat := inst.finishRequest()
-		sink.record(TraceEvent{At: inst.clk.Now(), Kind: TraceComplete, Instance: inst.id, Host: inst.HostIndex(), State: -1, Value: lat, Group: inst.grp.name})
+		lat := inst.finishRequest(c)
+		sink.record(TraceEvent{At: c, Kind: TraceComplete, Instance: inst.id, Host: inst.HostIndex(), State: -1, Value: lat, Group: inst.grp.name})
 		// A completion is the one instant where the service estimate is
 		// fresh: if the queue is deep enough, leave the event timeline
 		// and let the backlog drain as an analytic flow (fluid.go).
-		if s.maybeEnterFluid(inst, inst.clk.Now(), sink) {
+		if s.maybeEnterFluid(inst, c, sink) {
 			return nil
 		}
 	}
-	sink.activate(inst, inst.clk.Now())
+	sink.activate(inst, c)
 	return nil
 }
 

@@ -32,11 +32,13 @@
 // synchronization barrier — an arbiter tick, a cap, fault, or placement
 // landing, or a join-shortest-queue arrival — where a coordinator
 // merges host states, runs the arbiter, re-dispatches backlog, and
-// releases the next window. Between barriers the shards execute on a
-// bounded worker pool (Workers; 1 runs them inline on the caller's
-// goroutine). Determinism is preserved by construction (per-shard
-// sequence counters, a canonical host-index merge order, and a serial
-// fallback for windows in which a draining instance could retire), so
+// releases the next window. Between barriers the shards are
+// independent: the coordinator serves a window's first few dozen events
+// on the caller's goroutine and hands what is left to a bounded worker
+// pool (Workers; 1 has no pool). Determinism is preserved by
+// construction (per-shard sequence counters, a canonical host-index
+// merge order, and a serial fallback for windows in which a draining
+// instance could retire), so
 // every Workers value is bit-for-bit identical for a fixed seed, which
 // is what lets the end-to-end tests validate the executed fleet against
 // the closed-form cluster oracle (cluster.Oracle, including its
@@ -122,9 +124,11 @@ type Config struct {
 	MigrationDowntime time.Duration
 	// Workers bounds the shard worker pool. Each host owns its own
 	// event queue and advances independently between global
-	// synchronization barriers, with up to Workers shards executing
-	// concurrently. 0 defaults to GOMAXPROCS; 1 runs the shards inline
-	// on the caller's goroutine (no goroutines are started). Every
+	// synchronization barriers. A window that holds less work than the
+	// engine's inline budget (64 events) runs on the caller's goroutine
+	// at any Workers value; a larger one hands its unfinished shards to
+	// a pool of up to Workers goroutines. 0 defaults to GOMAXPROCS; 1
+	// runs every shard inline (no goroutines are started). Every
 	// Workers value is bit-identical for a fixed seed (see
 	// docs/ARCHITECTURE.md for the determinism argument); Workers only
 	// changes wall-clock speed.
@@ -507,21 +511,22 @@ func (inst *Instance) popRequest() *Request {
 	return r
 }
 
-// finishRequest books a completed request: latency against its arrival
-// instant and realized QoS loss of the served output against the
-// baseline-setting output of the same work item — the quantity the
-// cluster oracle predicts (per-beat, not per-plan-time).
+// finishRequest books a request completed at now (the instance clock
+// after its last beat): latency against its arrival instant and realized
+// QoS loss of the served output against the baseline-setting output of
+// the same work item — the quantity the cluster oracle predicts
+// (per-beat, not per-plan-time).
 //
 //fleetvet:noalloc
-func (inst *Instance) finishRequest() float64 {
-	lat := inst.clk.Now().Sub(inst.cur.Arrival).Seconds()
+func (inst *Instance) finishRequest(now time.Time) float64 {
+	lat := now.Sub(inst.cur.Arrival).Seconds()
 	inst.completed++
 	inst.latencies = append(inst.latencies, lat)
 	inst.allLats = append(inst.allLats, lat)
 	loss := inst.app.Loss(inst.baselineFor(inst.cur), inst.sess.Output())
 	inst.lossSum += loss
 	inst.lastLoss = loss
-	inst.observeService(inst.clk.Now().Sub(inst.sessStart).Seconds(), inst.itersOf(inst.cur))
+	inst.observeService(now.Sub(inst.sessStart).Seconds(), inst.itersOf(inst.cur))
 	inst.endSession(inst.cur)
 	inst.freeRequest(inst.cur)
 	inst.sess, inst.cur = nil, nil
@@ -649,11 +654,25 @@ type Supervisor struct {
 	globalScratch []*event
 	arrScratch    []*event
 
-	// workScratch and drainScratch are the coordinator's per-phase
-	// shard lists (coordinator.go), retained across windows so the
-	// thousand-host window loop allocates nothing.
+	// workScratch and drainScratch are the coordinator's shard lists
+	// (coordinator.go), retained across windows so the thousand-host
+	// window loop allocates nothing. drainScratch doubles as the cached
+	// drain set: it stays valid (drainsValid) until a round boundary, a
+	// place or fault landing, or a retirement — the only points where
+	// the set can change — so an arrival barrier pays O(1) for it.
 	workScratch  []*shard
 	drainScratch []*shard
+	drainsValid  bool
+
+	// windows counts runParallel calls and fanOuts the ones that
+	// started pool goroutines; the tests pin both paths through them.
+	// inlineBudget overrides inlineEventBudget when non-zero and
+	// drainCheck observes every drain-set answer — both are written
+	// only from _test.go files.
+	windows      int
+	fanOuts      int
+	inlineBudget int
+	drainCheck   func(drains []*shard)
 
 	// refSink is the test-only reference engine's sink (refengine_test.go;
 	// nil in production): forced fluid exits publish through it instead

@@ -95,8 +95,9 @@ type Scenario struct {
 	// MigrationDowntime is the blackout an instance suffers when moved
 	// between machines (default 100ms).
 	MigrationDowntime time.Duration
-	// Workers bounds the shard worker pool: 0 = GOMAXPROCS, 1 = run the
-	// shards inline on the caller's goroutine (see Config.Workers;
+	// Workers bounds the shard worker pool that windows larger than the
+	// inline budget fan out to: 0 = GOMAXPROCS, 1 = run every shard
+	// inline on the caller's goroutine (see Config.Workers;
 	// results are bit-identical at every value).
 	Workers int
 	// ArbiterInterval is the arbiter tick period (default Quantum).

@@ -7,7 +7,8 @@ package fleet
 // global synchronization barriers a shard advances independently of
 // every other shard — hosts couple only through the arbiter, placement
 // landings, and dispatch, all of which happen at barriers — so shards
-// execute concurrently on a bounded worker pool while remaining
+// may execute concurrently on a bounded worker pool (a window too small
+// to be worth the pool runs on the coordinator's goroutine) while remaining
 // bit-identical at every Workers value and to the single-heap test
 // oracle (see engine.go's evKind ordering for the shared tie-break and
 // docs/ARCHITECTURE.md for the determinism argument).
@@ -168,15 +169,20 @@ func (sh *shard) hasWorkBefore(end time.Time) bool {
 	return len(sh.eq) > 0 && sh.eq[0].at.Before(end)
 }
 
-// run advances the shard to the window end, serving its residents'
-// events in deterministic local order. It touches only this shard's
-// state and its residents (plus their thread-safe machine views), so
-// disjoint shards run concurrently.
+// run advances the shard toward the window end, serving its residents'
+// events in deterministic local order, and stops after budget events if
+// the window holds more. It reports the events served and whether the
+// shard reached the end. Stopped early it is resumable: the peek-ahead
+// continuation goes back on the heap under the seq it already carries,
+// so a later run — on any goroutine — pops exactly the sequence an
+// uninterrupted one would have. It touches only this shard's state and
+// its residents (plus their thread-safe machine views), so disjoint
+// shards run concurrently.
 //
 //fleetvet:noalloc
-func (sh *shard) run(end time.Time) {
+func (sh *shard) run(end time.Time, budget int) (served int, done bool) {
 	sh.running = true
-	for sh.err == nil {
+	for sh.err == nil && served < budget {
 		ev := sh.pop(end)
 		if ev == nil {
 			// Out of discrete events: render fluid residents to the
@@ -185,12 +191,19 @@ func (sh *shard) run(end time.Time) {
 			if sh.drainFluidTo(end) {
 				continue
 			}
+			done = true
 			break
 		}
 		sh.handle(ev)
 		sh.recycle(ev)
+		served++
+	}
+	if sh.next != nil {
+		sh.pushHeap(sh.next)
+		sh.next = nil
 	}
 	sh.running = false
+	return served, done
 }
 
 // drainFluidTo renders the shard's fluid residents up to u, compacting
@@ -222,7 +235,7 @@ func (sh *shard) drainFluidTo(u time.Time) bool {
 // handle processes one shard-local event. evRetire is deliberately
 // absent: retirements re-arbitrate the whole cluster, so the
 // coordinator serializes any window in which one could occur and
-// processes it there (runSerial / barrier).
+// processes it there (runUntilRetire).
 //
 //fleetvet:noalloc
 func (sh *shard) handle(ev *event) {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -49,10 +50,18 @@ type stepper interface {
 	Step(*LoadGen) (RoundStats, error)
 }
 
+// diffInlineBudget, when non-zero, replaces inlineEventBudget on every
+// supervisor a differential run builds (they all pass through
+// engineUnder). assertEnginesAgree sets it so each scenario covers the
+// three ways a window can run: finished inline, interrupted mid-shard
+// and resumed on the pool, fanned out at once.
+var diffInlineBudget int
+
 func engineUnder(sup *Supervisor, workers int) stepper {
 	if workers == refWorkers {
 		return newRefEngine(sup)
 	}
+	sup.inlineBudget = diffInlineBudget
 	return sup
 }
 
@@ -84,12 +93,23 @@ func snapshotDiff(sup *Supervisor) diffResult {
 
 // assertEnginesAgree runs one seeded scenario on the refEngine and on
 // the production engine at Workers 1, 2, and 4, requires all four to be
-// bit-identical, and returns the reference result.
+// bit-identical, and returns the reference result. These fleets rarely
+// hold inlineEventBudget events in a window, so Workers 2 and 4 run
+// again with the budget forced to 1 (every multi-shard window fans out,
+// its first shard interrupted after one event), to 7 (interrupted
+// mid-shard) and to unbounded (never fans out).
 func assertEnginesAgree(t *testing.T, name string, run func(workers int) diffResult) diffResult {
 	t.Helper()
 	ref := run(refWorkers)
 	for _, workers := range []int{1, 2, 4} {
 		assertDiffEqual(t, name, ref, run(workers), refWorkers, workers)
+	}
+	defer func() { diffInlineBudget = 0 }()
+	for _, budget := range []int{1, 7, math.MaxInt} {
+		diffInlineBudget = budget
+		for _, workers := range []int{2, 4} {
+			assertDiffEqual(t, fmt.Sprintf("%s/budget=%d", name, budget), ref, run(workers), refWorkers, workers)
+		}
 	}
 	return ref
 }
@@ -103,6 +123,15 @@ func assertEnginesAgree(t *testing.T, name string, run func(workers int) diffRes
 // mid-window hard stop — all over open-loop Poisson work items (each
 // join-shortest-queue arrival is a barrier) under a binding budget.
 func runDiffScenario(t *testing.T, machines, instances, workers int, split bool, gen func() *LoadGen, rounds int) diffResult {
+	t.Helper()
+	sup := newDiffScenario(t, machines, instances, workers, split)
+	stepRounds(t, engineUnder(sup, workers), gen(), rounds)
+	return snapshotDiff(sup)
+}
+
+// newDiffScenario builds runDiffScenario's fleet with its coupling edges
+// scheduled, unstepped.
+func newDiffScenario(t *testing.T, machines, instances, workers int, split bool) *Supervisor {
 	t.Helper()
 	sup, err := New(Config{
 		Machines:        machines,
@@ -118,7 +147,6 @@ func runDiffScenario(t *testing.T, machines, instances, workers int, split bool,
 		t.Fatal(err)
 	}
 	insts := startN(t, sup, instances)
-	g := gen()
 
 	// The coupling edges, all at mid-window instants.
 	sup.SetBudgetAt(time.Unix(2, 0).Add(330*time.Millisecond), float64(machines)*175)
@@ -134,9 +162,7 @@ func runDiffScenario(t *testing.T, machines, instances, workers int, split bool,
 	// at the data-dependent instant its queue empties.
 	sup.DrainAt(time.Unix(5, 0).Add(250*time.Millisecond), insts[0])
 	sup.StopAt(time.Unix(7, 0).Add(600*time.Millisecond), insts[2])
-
-	stepRounds(t, engineUnder(sup, workers), g, rounds)
-	return snapshotDiff(sup)
+	return sup
 }
 
 func assertDiffEqual(t *testing.T, name string, ref, got diffResult, refW, gotW int) {
@@ -348,5 +374,98 @@ func TestShardedEngineAutoscaledReplay(t *testing.T) {
 	})
 	if len(ref.insts) < 2 {
 		t.Fatal("the autoscaler never started an instance; the differential proves nothing")
+	}
+}
+
+// TestShardRunResumesInHeapOrder is the resumption property on its own:
+// a shard stopped every one to three events — so that again and again
+// the peek-ahead continuation it puts back ties an older heap entry on
+// (at, kind) — handles exactly the event sequence of one uninterrupted
+// run. Two saturated instances share the host beat for beat (the ties),
+// a third, overloaded open-loop one drains as a fluid resident, and the
+// shard's trace buffer, filled in handling order, is the witness.
+func TestShardRunResumesInHeapOrder(t *testing.T) {
+	prof := syntheticProfile(t)
+	newApp := func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }
+	build := func() (*Supervisor, *shard) {
+		sup, err := NewScenario(Scenario{
+			Machines:        1,
+			CoresPerMachine: 3,
+			Workers:         1,
+			SplitDispatch:   true,
+			Fluid:           4,
+			RecordTrace:     true,
+			Groups: []WorkloadGroup{
+				{Name: "batch", NewApp: newApp, Profile: prof, Instances: 2, Load: NewSaturatingLoad(2).WithRequestIters(1)},
+				{Name: "web", NewApp: newApp, Profile: prof, Instances: 1, Load: NewConstantLoad(3, 6).WithRequestIters(10)},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepRounds(t, sup, nil, 4)
+		sh := sup.hosts[0].shard
+		if len(sh.fluidInsts) == 0 {
+			t.Fatal("no fluid resident on the shard after warm-up; retune the web group's load")
+		}
+		return sup, sh
+	}
+	supA, a := build()
+	supB, b := build()
+	end := supA.Now().Add(supA.cfg.Quantum / 2)
+
+	if _, done := a.run(end, math.MaxInt); !done || a.err != nil {
+		t.Fatalf("uninterrupted run: done=%v err=%v", done, a.err)
+	}
+	stops, ties := 0, 0
+	for budget := 1; ; budget = budget%3 + 1 {
+		served, done := b.run(end, budget)
+		if b.err != nil {
+			t.Fatal(b.err)
+		}
+		if done {
+			break
+		}
+		if served != budget || b.next != nil || b.running {
+			t.Fatalf("stopped run: served %d of budget %d, next=%v running=%v", served, budget, b.next, b.running)
+		}
+		stops++
+		// The continuation put back carries the shard's newest seq.
+		var last *event
+		for _, ev := range b.eq {
+			if last == nil || ev.seq > last.seq {
+				last = ev
+			}
+		}
+		for _, ev := range b.eq {
+			if ev != last && ev.at.Equal(last.at) && ev.kind == last.kind {
+				ties++
+				break
+			}
+		}
+	}
+	if stops < 20 || ties == 0 {
+		t.Fatalf("%d stops, %d with the returned continuation tying an older event: the scenario proves nothing", stops, ties)
+	}
+
+	if len(a.trace) == 0 || !reflect.DeepEqual(a.trace, b.trace) {
+		t.Fatalf("handling order diverged: %d trace events uninterrupted, %d interrupted", len(a.trace), len(b.trace))
+	}
+	if a.seq != b.seq || len(a.eq) != len(b.eq) {
+		t.Fatalf("shard state diverged: seq %d vs %d, %d vs %d pending events", a.seq, b.seq, len(a.eq), len(b.eq))
+	}
+	for len(a.eq) > 0 {
+		x, y := a.popHeap(), b.popHeap()
+		if !x.at.Equal(y.at) || x.kind != y.kind || x.seq != y.seq || x.inst.id != y.inst.id {
+			t.Fatalf("pending events diverged: (%v, %d, seq %d, inst %d) vs (%v, %d, seq %d, inst %d)",
+				x.at, x.kind, x.seq, x.inst.id, y.at, y.kind, y.seq, y.inst.id)
+		}
+	}
+	for i, ia := range supA.insts {
+		ib := supB.insts[i]
+		if ia.completed != ib.completed || len(ia.queue) != len(ib.queue) || ia.fluid != ib.fluid || !ia.clk.Now().Equal(ib.clk.Now()) {
+			t.Fatalf("instance %d diverged: completed %d vs %d, queue %d vs %d, fluid %v vs %v",
+				i, ia.completed, ib.completed, len(ia.queue), len(ib.queue), ia.fluid, ib.fluid)
+		}
 	}
 }
