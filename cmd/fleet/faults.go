@@ -10,7 +10,6 @@ package main
 // exports as CSV via -resilience.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -73,13 +72,9 @@ type faultEventSpec struct {
 
 // loadFaults reads a -faults JSON spec into fleet.FaultOptions.
 func loadFaults(path string) (*fleet.FaultOptions, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var spec faultSpec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return nil, fmt.Errorf("faults %s: %w", path, err)
+	if err := readSpec("faults", path, &spec); err != nil {
+		return nil, err
 	}
 	opts := &fleet.FaultOptions{Redispatch: spec.Redispatch}
 	if len(spec.Schedule) > 0 {

@@ -56,7 +56,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "load generator seed")
 	workers := flag.Int("workers", 0, "shard worker pool size: 0 = GOMAXPROCS, 1 = run the per-host shards inline on one goroutine, N>1 = an N-worker pool for windows holding more than a few dozen events (smaller ones run inline; bit-identical results at any value)")
 	fluid := flag.Int("fluid", 0, "hybrid fluid/discrete engine: instances whose queue reaches this depth leave the event timeline and drain analytically until the backlog falls below half the threshold (0 = pure discrete)")
-	epoch := flag.Bool("epoch", false, "batch join-shortest-queue dispatch per coordinator window instead of per arrival")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	plotPath := flag.String("plot", "", "with -replay or -sweep: also render an SVG figure (replay timeline / sweep trend panels) here")
 	feedforward := flag.Bool("feedforward", false, "replay: clamp autoscaler proposals to ±1 of the M/D/1 planner at the smoothed arrival rate (model-informed damping)")
@@ -108,7 +107,7 @@ func main() {
 		machines: *machines, cores: *cores, instances: *instances, rounds: *rounds,
 		budget: *budget, dropTo: *dropTo, dropAt: *dropAt, dropFrac: *dropFrac,
 		load: *load, rate: *rate, reqIters: *reqIters, seed: *seed,
-		workers: *workers, fluid: *fluid, epoch: *epoch,
+		workers: *workers, fluid: *fluid,
 		feedforward: *feedforward,
 		latency:     *latency, tracePath: *tracePath, plotPath: *plotPath,
 		replayPath: *replayPath, ratesPath: *ratesPath, scenarioPath: *scenarioPath,
@@ -138,7 +137,6 @@ type options struct {
 	dropAt, reqIters, workers, fluid     int
 	scaleMin, scaleMax, procs, reps      int
 	admitQueue                           int
-	epoch                                bool
 	budget, dropTo, dropFrac, rate       float64
 	sloP95, swarm                        float64
 	duration                             time.Duration
@@ -187,6 +185,30 @@ func workloadFor(appName, scale string) (func() (workload.App, error), *calibrat
 	return newApp, prof, nil
 }
 
+// quantum is the control quantum of every run mode.
+const quantum = time.Second
+
+// singleGroup maps the flags to the fleet the plain run and -replay
+// drive: one group, "default", of instances copies of -app under the
+// uniform-share interference model the oracle cross-checks assume.
+func singleGroup(o options, instances int) (fleet.Scenario, error) {
+	newApp, prof, err := workloadFor(o.app, o.scale)
+	if err != nil {
+		return fleet.Scenario{}, err
+	}
+	return fleet.Scenario{
+		Machines:        o.machines,
+		CoresPerMachine: o.cores,
+		Groups:          []fleet.WorkloadGroup{{Name: "default", NewApp: newApp, Profile: prof, Instances: instances}},
+		Interference:    fleet.UniformShare{},
+		Budget:          o.budget,
+		Quantum:         quantum,
+		Workers:         o.workers,
+		Fluid:           o.fluid,
+		RecordTrace:     o.tracePath != "",
+	}, nil
+}
+
 func run(o options) error {
 	if o.sweepPath != "" {
 		rounds := 0
@@ -213,30 +235,13 @@ func run(o options) error {
 	if o.replayPath != "" {
 		return runReplay(o)
 	}
-	newApp, prof, err := workloadFor(o.app, o.scale)
+	sc, err := singleGroup(o, o.instances)
 	if err != nil {
 		return err
 	}
-	const quantum = time.Second
-	sup, err := fleet.New(fleet.Config{
-		Machines:        o.machines,
-		CoresPerMachine: o.cores,
-		NewApp:          newApp,
-		Profile:         prof,
-		Budget:          o.budget,
-		Quantum:         quantum,
-		Workers:         o.workers,
-		EpochDispatch:   o.epoch,
-		Fluid:           o.fluid,
-		RecordTrace:     o.tracePath != "",
-	})
+	sup, err := fleet.NewScenario(sc)
 	if err != nil {
 		return err
-	}
-	for i := 0; i < o.instances; i++ {
-		if _, err := sup.StartInstance(-1); err != nil {
-			return err
-		}
 	}
 	faulted, err := applyFaults(sup, o)
 	if err != nil {
@@ -335,7 +340,7 @@ func run(o options) error {
 
 	// Close the loop against the analytic oracle for the saturating case.
 	if _, ok := gen.Saturating(); ok {
-		oracle, err := cluster.NewOracle(o.machines, o.cores, prof, powerdial.DefaultPowerModel(), platform.Frequencies[0])
+		oracle, err := cluster.NewOracle(o.machines, o.cores, sc.Groups[0].Profile, powerdial.DefaultPowerModel(), platform.Frequencies[0])
 		if err != nil {
 			return err
 		}
@@ -356,30 +361,10 @@ func run(o options) error {
 // autoscaler's steady-state provisioning is cross-checked against the
 // M/D/1 planner.
 func runReplay(o options) error {
-	newApp, prof, err := workloadFor(o.app, o.scale)
-	if err != nil {
-		return err
-	}
 	if o.reqIters <= 0 {
 		// Replay queues per-iteration work items so latency percentiles
 		// reflect queueing at request granularity.
 		o.reqIters = 10
-	}
-	const quantum = time.Second
-	sup, err := fleet.New(fleet.Config{
-		Machines:        o.machines,
-		CoresPerMachine: o.cores,
-		NewApp:          newApp,
-		Profile:         prof,
-		Budget:          o.budget,
-		Quantum:         quantum,
-		Workers:         o.workers,
-		EpochDispatch:   o.epoch,
-		Fluid:           o.fluid,
-		RecordTrace:     o.tracePath != "",
-	})
-	if err != nil {
-		return err
 	}
 	if o.scaleMax <= 0 {
 		o.scaleMax = o.machines * o.cores
@@ -396,10 +381,13 @@ func runReplay(o options) error {
 			initial = o.scaleMax
 		}
 	}
-	for i := 0; i < initial; i++ {
-		if _, err := sup.StartInstance(-1); err != nil {
-			return err
-		}
+	sc, err := singleGroup(o, initial)
+	if err != nil {
+		return err
+	}
+	sup, err := fleet.NewScenario(sc)
+	if err != nil {
+		return err
 	}
 	faulted, err := applyFaults(sup, o)
 	if err != nil {

@@ -32,9 +32,6 @@ type scenarioSpec struct {
 	// SplitDispatch routes arrivals by seeded uniform split within the
 	// group instead of join-shortest-queue.
 	SplitDispatch bool `json:"splitDispatch"`
-	// EpochDispatch batches join-shortest-queue routing per coordinator
-	// window instead of per arrival (mirrors the -epoch flag).
-	EpochDispatch bool `json:"epochDispatch"`
 	// Fluid is the hybrid fluid/discrete engine's queue-depth threshold
 	// (0 = pure discrete; mirrors the -fluid flag).
 	Fluid int `json:"fluid"`
@@ -79,6 +76,26 @@ type groupSpec struct {
 	SLOP95 float64 `json:"sloP95"`
 	// ScaleMax bounds the group's autoscaler (0 = total cluster cores).
 	ScaleMax int `json:"scaleMax"`
+}
+
+// readSpec decodes the JSON spec at path into v. Unknown fields are
+// errors, so a misspelled or retired key cannot silently run the
+// defaults.
+func readSpec(kind, path string, v any) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%s %s: %w", kind, path, err)
+	}
+	if dec.More() {
+		return fmt.Errorf("%s %s: trailing data after the JSON object", kind, path)
+	}
+	return nil
 }
 
 // buildGroup resolves one group spec into a fleet.WorkloadGroup.
@@ -145,13 +162,9 @@ func buildGroup(gi int, gs groupSpec) (fleet.WorkloadGroup, error) {
 // runScenario loads a JSON scenario spec, executes it, and prints the
 // per-round timeline with per-group columns plus per-group summaries.
 func runScenario(o options) error {
-	data, err := os.ReadFile(o.scenarioPath)
-	if err != nil {
-		return err
-	}
 	var spec scenarioSpec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return fmt.Errorf("scenario %s: %w", o.scenarioPath, err)
+	if err := readSpec("scenario", o.scenarioPath, &spec); err != nil {
+		return err
 	}
 	if spec.Machines == 0 {
 		spec.Machines = 2
@@ -182,7 +195,6 @@ func runScenario(o options) error {
 		Budget:          budget,
 		Workers:         spec.Workers,
 		SplitDispatch:   spec.SplitDispatch,
-		EpochDispatch:   spec.EpochDispatch,
 		Fluid:           spec.Fluid,
 		ControlDisabled: spec.ControlDisabled,
 		Interference:    itf,
@@ -190,9 +202,6 @@ func runScenario(o options) error {
 	}
 	if o.workers != 0 {
 		sc.Workers = o.workers
-	}
-	if o.epoch {
-		sc.EpochDispatch = true
 	}
 	if o.fluid != 0 {
 		sc.Fluid = o.fluid

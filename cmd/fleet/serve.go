@@ -32,7 +32,6 @@ func runServe(o options) error {
 		// would occupy an instance for the entire run.
 		o.reqIters = 10
 	}
-	const quantum = time.Second
 	rounds := int(o.duration / quantum)
 	if rounds < 1 {
 		rounds = 1

@@ -89,16 +89,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sup, err := powerdial.NewFleet(powerdial.FleetConfig{
+	sup, err := powerdial.NewFleetScenario(powerdial.FleetScenario{
 		Machines:        2,
 		CoresPerMachine: 2,
-		NewApp:          newApp,
-		Profile:         fleetProf,
+		Groups: []powerdial.FleetWorkloadGroup{{
+			Name: "default", NewApp: newApp, Profile: fleetProf, Instances: 1,
+		}},
+		Interference: powerdial.FleetUniformShare{},
 	})
 	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := sup.StartInstance(-1); err != nil {
 		log.Fatal(err)
 	}
 	const sloP95 = 1.2 // seconds

@@ -31,23 +31,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sup, err := fleet.New(fleet.Config{
+	// One workload group under the uniform-share interference model: the
+	// time-multiplexing arithmetic the cluster oracle below predicts.
+	sup, err := fleet.NewScenario(fleet.Scenario{
 		Machines:        2,
 		CoresPerMachine: 2,
-		NewApp:          newApp,
-		Profile:         prof,
+		Groups:          []fleet.WorkloadGroup{{Name: "default", NewApp: newApp, Profile: prof, Instances: 8}},
+		Interference:    fleet.UniformShare{},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	var insts []*fleet.Instance
-	for i := 0; i < 8; i++ {
-		inst, err := sup.StartInstance(-1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		insts = append(insts, inst)
-	}
+	insts := sup.Instances()
 	gen := fleet.NewSaturatingLoad(2)
 
 	fmt.Println("8 instances, 2 machines x 2 cores, saturating load")

@@ -30,7 +30,6 @@ func TestExamplesRun(t *testing.T) {
 		{"searchserver", "identified control variables"},
 		{"fleet", "oracle"},
 		{"scenario", "composed M/G/1 oracle"},
-		{"legacyfleet", "shim maps to one scenario group"},
 	}
 	for _, ex := range examples {
 		ex := ex

@@ -23,8 +23,8 @@ type SLO struct {
 
 // ScaleObservation is one closed reporting quantum as an autoscaler
 // sees it. All counts and latencies are scoped to the workload group
-// the policy is attached to — for the single-group Config shim that is
-// the whole fleet, exactly as before.
+// the policy is attached to — for a single-group fleet that is the
+// whole fleet.
 type ScaleObservation struct {
 	// Round is the closed round's index.
 	Round int
@@ -103,7 +103,7 @@ type PlannerConfig struct {
 	// divided by Supervisor.Target().Goal().
 	Service float64
 	// Quantum converts per-round arrival counts into per-second rates
-	// (required, > 0; the fleet's Config.Quantum).
+	// (required, > 0; the fleet's Scenario.Quantum).
 	Quantum time.Duration
 	// Quantile is the sojourn quantile planned for (default 0.95).
 	Quantile float64
@@ -285,7 +285,7 @@ type scalerEntry struct {
 }
 
 // Autoscale attaches an autoscaling policy to the first workload group
-// (the whole fleet under the single-group Config shim): after every
+// (the whole fleet when it has one group): after every
 // reporting quantum the policy sees that round's observations and the
 // supervisor schedules the placement events that move the group's
 // accepting-instance count toward the desired one, landing delay into

@@ -142,17 +142,12 @@ func TestPlannerFeedForwardDampsOscillation(t *testing.T) {
 		}
 	}
 	run := func(planner *PlannerConfig) (*ReplayResult, int) {
-		sup, err := New(Config{
+		sup := newOneGroup(t, Scenario{
 			Machines:        1,
 			CoresPerMachine: maxInst, // no multiplexing: service stays deterministic
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         syntheticProfile(t),
 			ControlDisabled: true,
 			SplitDispatch:   true, // the planner's independent-station premise
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, newSlowApp, syntheticProfile(t))
 		startN(t, sup, 1)
 		scaler, err := NewHysteresisScaler(HysteresisConfig{
 			SLO:          SLO{P95: sloP95},
@@ -239,17 +234,12 @@ func TestAutoscalerSteadyStateMatchesMD1(t *testing.T) {
 	if !ok {
 		t.Fatalf("planner says %d instances cannot meet the SLO; test scenario is broken", maxInst)
 	}
-	sup, err := New(Config{
+	sup := newOneGroup(t, Scenario{
 		Machines:        1,
 		CoresPerMachine: maxInst, // no multiplexing: service stays deterministic
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
 		ControlDisabled: true,
 		SplitDispatch:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, newSlowApp, syntheticProfile(t))
 	startN(t, sup, 1)
 	scaler, err := NewHysteresisScaler(HysteresisConfig{
 		SLO: SLO{P95: sloP95},
@@ -302,17 +292,12 @@ func TestAutoscalerSteadyStateMatchesMD1(t *testing.T) {
 func TestReplayFig8Consolidation(t *testing.T) {
 	rates := Fig8Rates(90, 10, 2026)
 	run := func() *ReplayResult {
-		sup, err := New(Config{
+		sup := newOneGroup(t, Scenario{
 			Machines:        2,
 			CoresPerMachine: 2,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         syntheticProfile(t),
 			ControlDisabled: true,
 			RecordTrace:     true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, newSlowApp, syntheticProfile(t))
 		startN(t, sup, 1)
 		// SLO 1.3: per-round p95 is now the ceil-based nearest rank —
 		// on the handful of completions a marginal round books, that is
@@ -392,16 +377,7 @@ func TestReplaySustainedOverloadCounted(t *testing.T) {
 	for i := range rates {
 		rates[i] = 30 // vs. ~8/s capacity at 2 instances
 	}
-	sup, err := New(Config{
-		Machines:        1,
-		CoresPerMachine: 2,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
-		ControlDisabled: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sup := newOneGroup(t, Scenario{Machines: 1, CoresPerMachine: 2, ControlDisabled: true}, newSlowApp, syntheticProfile(t))
 	startN(t, sup, 1)
 	res, err := Replay(sup, ReplayConfig{
 		Rates:    rates,
@@ -422,18 +398,10 @@ func TestReplaySustainedOverloadCounted(t *testing.T) {
 	// (b) Starved rounds: requests longer than the quantum mean whole
 	// rounds complete nothing while the backlog stands — those rounds
 	// cannot attest the SLO and must count as violations.
-	sup2, err := New(Config{
-		Machines:        1,
-		CoresPerMachine: 1,
-		NewApp: func() (workload.App, error) {
-			return NewSynthetic(SyntheticOptions{ProductionIters: 200}), nil // 5 s service
-		},
-		Profile:         syntheticProfile(t),
-		ControlDisabled: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	longApp := func() (workload.App, error) {
+		return NewSynthetic(SyntheticOptions{ProductionIters: 200}), nil // 5 s service
 	}
+	sup2 := newOneGroup(t, Scenario{Machines: 1, CoresPerMachine: 1, ControlDisabled: true}, longApp, syntheticProfile(t))
 	startN(t, sup2, 1)
 	scaler, err := NewHysteresisScaler(HysteresisConfig{SLO: SLO{P95: 1.0}, Min: 1, Max: 1})
 	if err != nil {
@@ -461,16 +429,7 @@ func TestReplaySustainedOverloadCounted(t *testing.T) {
 func TestReplayStopAtViolationIsPrefix(t *testing.T) {
 	run := func(cores int, cfg ReplayConfig) *ReplayResult {
 		t.Helper()
-		sup, err := New(Config{
-			Machines:        1,
-			CoresPerMachine: cores,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         syntheticProfile(t),
-			ControlDisabled: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sup := newOneGroup(t, Scenario{Machines: 1, CoresPerMachine: cores, ControlDisabled: true}, newSlowApp, syntheticProfile(t))
 		startN(t, sup, 1)
 		res, err := Replay(sup, cfg)
 		if err != nil {

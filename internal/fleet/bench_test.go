@@ -29,20 +29,15 @@ func benchFleet(b *testing.B, prof *calibrate.Profile, gen *LoadGen, rounds int)
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sup, err := New(Config{
+		sup := newOneGroup(b, Scenario{
 			Machines:        2,
 			CoresPerMachine: 2,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         prof,
 			Budget:          400,
 			// Run the shards inline so this series keeps its
 			// single-thread meaning on multi-core runners; the worker
 			// pool has its own series (BenchmarkFleetScale).
 			Workers: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		}, newSlowApp, prof)
 		for j := 0; j < 8; j++ {
 			if _, err := sup.StartInstance(-1); err != nil {
 				b.Fatal(err)
@@ -88,17 +83,12 @@ func BenchmarkFleetScale(b *testing.B) {
 				// Fleet construction is identical at both worker counts
 				// and would dilute the ratio, so it sits outside the
 				// timer; one op is one steady-state saturated round.
-				sup, err := New(Config{
+				sup := newOneGroup(b, Scenario{
 					Machines:        hosts,
 					CoresPerMachine: 1,
-					NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-					Profile:         prof,
 					Budget:          float64(hosts) * 190,
 					Workers:         workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				}, newSlowApp, prof)
 				for j := 0; j < hosts; j++ {
 					if _, err := sup.StartInstance(-1); err != nil {
 						b.Fatal(err)
@@ -138,20 +128,15 @@ func BenchmarkFleetScale(b *testing.B) {
 // steady state, with roughly half the instances fluid when fluid > 0.
 func fluidScaleFleet(tb testing.TB, prof *calibrate.Profile, hosts, fluid int) (*Supervisor, *LoadGen) {
 	tb.Helper()
-	sup, err := New(Config{
+	sup := newOneGroup(tb, Scenario{
 		Machines:        hosts,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         prof,
 		Budget:          float64(hosts) * 210,
 		Workers:         4,
 		ControlDisabled: true,
 		SplitDispatch:   true,
 		Fluid:           fluid,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	}, newSlowApp, prof)
 	for j := 0; j < hosts; j++ {
 		if _, err := sup.StartInstance(-1); err != nil {
 			tb.Fatal(err)

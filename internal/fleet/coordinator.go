@@ -9,7 +9,7 @@ package fleet
 // shard advances through the window independently: the coordinator
 // serves the window's first inlineEventBudget events itself and fans
 // what is left, if anything, out over a bounded worker pool
-// (Config.Workers); at each barrier it flushes shard trace buffers in
+// (Scenario.Workers); at each barrier it flushes shard trace buffers in
 // host-index order, applies the barrier's events in evKind order, and
 // releases the next window.
 //
@@ -58,7 +58,7 @@ func (s *Supervisor) stepSharded(gen *LoadGen) (RoundStats, error) {
 	// bypass it (they are pre-routed per window below) and instances
 	// wake on their hosts' shards. A stable sort by (at, kind) is the
 	// canonical ordering for simultaneous events.
-	preRoute := s.cfg.SplitDispatch || s.cfg.EpochDispatch
+	preRoute := s.cfg.SplitDispatch
 	globals, splitArrivals := s.globalScratch[:0], s.arrScratch[:0]
 	emit := func(ev *event) {
 		if ev.kind == evArrival && preRoute {
@@ -91,16 +91,11 @@ func (s *Supervisor) stepSharded(gen *LoadGen) (RoundStats, error) {
 		if gi < len(globals) {
 			barrier = globals[gi].at
 		}
-		// Pre-route fast path: hand this window's arrivals to their
-		// target shards as local events, in arrival order. Under
-		// SplitDispatch the target is the seeded uniform draw (in arrival
-		// order, so the RNG sequence is the same at any Workers value);
-		// under EpochDispatch it is sequential join-shortest-queue
-		// against the window-start depth snapshot — a (depth, lower id)
-		// min-heap per group, each assignment bumping its target's
-		// snapshot depth. Either way the draw is over the arrival's own
-		// group's accepting set — dispatch stays within the group.
-		var jsq [][]jsqEntry
+		// SplitDispatch fast path: hand this window's arrivals to their
+		// target shards as local events, in arrival order. The target is
+		// the seeded uniform draw (in arrival order, so the RNG sequence
+		// is the same at any Workers value) over the arrival's own group's
+		// accepting set — dispatch stays within the group.
 		for ai < len(splitArrivals) && splitArrivals[ai].at.Before(barrier) {
 			ev := splitArrivals[ai]
 			ai++
@@ -113,17 +108,7 @@ func (s *Supervisor) stepSharded(gen *LoadGen) (RoundStats, error) {
 				s.recycleEvent(ev)
 				continue
 			}
-			if s.cfg.SplitDispatch {
-				ev.inst = grpAcc[s.splitRng.Intn(len(grpAcc))]
-			} else {
-				if jsq == nil {
-					jsq = make([][]jsqEntry, len(s.groups))
-				}
-				if jsq[ev.req.Group] == nil {
-					jsq[ev.req.Group] = buildJSQ(grpAcc)
-				}
-				ev.inst = jsqAssign(jsq[ev.req.Group])
-			}
+			ev.inst = grpAcc[s.splitRng.Intn(len(grpAcc))]
 			ev.inst.host.shard.push(ev)
 		}
 		if err := s.runWindow(barrier); err != nil {
@@ -223,64 +208,6 @@ func (s *Supervisor) stepSharded(gen *LoadGen) (RoundStats, error) {
 	}
 
 	return s.closeEventRound(end, arrivals), nil
-}
-
-// jsqEntry is one accepting instance in an epoch-dispatch routing heap:
-// its queue depth as of the window start plus the arrivals already
-// assigned to it this window.
-type jsqEntry struct {
-	depth int
-	inst  *Instance
-}
-
-// jsqLess orders the routing heap exactly like the sequential dispatch
-// scan: shallowest queue first, ties to the lower instance id.
-func jsqLess(a, b jsqEntry) bool {
-	if a.depth != b.depth {
-		return a.depth < b.depth
-	}
-	return a.inst.id < b.inst.id
-}
-
-// buildJSQ snapshots a group's accepting set into a routing min-heap
-// (Floyd heapify, O(n)).
-func buildJSQ(acc []*Instance) []jsqEntry {
-	h := make([]jsqEntry, len(acc))
-	for i, inst := range acc {
-		h[i] = jsqEntry{depth: inst.QueueDepth(), inst: inst}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		jsqSiftDown(h, i)
-	}
-	return h
-}
-
-// jsqAssign routes one arrival: the root is the JSQ winner; its snapshot
-// depth grows by the assignment and sifts back down.
-func jsqAssign(h []jsqEntry) *Instance {
-	inst := h[0].inst
-	h[0].depth++
-	jsqSiftDown(h, 0)
-	return inst
-}
-
-func jsqSiftDown(h []jsqEntry, i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && jsqLess(h[l], h[least]) {
-			least = l
-		}
-		if r < n && jsqLess(h[r], h[least]) {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
 }
 
 // crossLess is the cross-shard event tie-break: (instant, kind) only —

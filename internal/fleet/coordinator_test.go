@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/calibrate"
-	"repro/internal/workload"
 )
 
 // jsqWindowsFleet is the small-window regime: 8 hosts × 8 cores, 64
@@ -21,7 +20,7 @@ func jsqWindowsFleet(tb testing.TB, prof *calibrate.Profile, workers int) (*Supe
 		Workers:         workers,
 		Groups: []WorkloadGroup{{
 			Name:      "web",
-			NewApp:    func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
+			NewApp:    newSlowApp,
 			Profile:   prof,
 			Instances: 64,
 		}},
@@ -72,17 +71,12 @@ func TestSmallWindowsStayInline(t *testing.T) {
 	// A saturated 128-host round is one window of 5,120 events: it must
 	// reach the pool at Workers: 2, and Workers: 1 has none to reach.
 	saturated := func(workers int) *Supervisor {
-		sup, err := New(Config{
+		sup := newOneGroup(t, Scenario{
 			Machines:        128,
 			CoresPerMachine: 1,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         prof,
 			Budget:          128 * 190,
 			Workers:         workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, newSlowApp, prof)
 		startN(t, sup, 128)
 		stepRounds(t, sup, NewSaturatingLoad(2), 3)
 		return sup

@@ -340,8 +340,8 @@ func (s *Supervisor) seedRound(gen *LoadGen, start, end time.Time, emit func(*ev
 	if anyGen {
 		// Backlog re-offers only for groups fed open-loop this round —
 		// a saturating group's queues are topped up to their depth, not
-		// stuffed with parked backlog (the Config shim's longstanding
-		// behavior). Placement landings still re-offer unconditionally.
+		// stuffed with parked backlog. Placement landings still re-offer
+		// unconditionally.
 		open := make([]bool, len(s.groups))
 		for gi, g := range s.groups {
 			if ggen := s.groupGen(gi, gen); ggen != nil {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/platform"
-	"repro/internal/workload"
 )
 
 // TestEventFleetMatchesMD1 validates the event timeline against the
@@ -27,18 +26,13 @@ func TestEventFleetMatchesMD1(t *testing.T) {
 		beatSec = 0.025
 		service = iters * beatSec // 0.5 s at 2.4 GHz baseline
 	)
-	sup, err := New(Config{
+	sup := newOneGroup(t, Scenario{
 		Machines:        1,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
 		// Open-loop baseline service: knob control would retune effort
 		// and break the deterministic-service premise of M/D/1.
 		ControlDisabled: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, newSlowApp, syntheticProfile(t))
 	startN(t, sup, 1)
 	gen := NewConstantLoad(21, lambda).WithRequestIters(iters)
 	if err := sup.Run(gen, rounds); err != nil {
@@ -97,16 +91,7 @@ func TestEventFleetMatchesMD1(t *testing.T) {
 // the pre- and post-cap regimes.
 func TestCapEventLandsMidQuantum(t *testing.T) {
 	const budget = 360.0
-	sup, err := New(Config{
-		Machines:        2,
-		CoresPerMachine: 2,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
-		RecordTrace:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sup := newOneGroup(t, Scenario{Machines: 2, CoresPerMachine: 2, RecordTrace: true}, newSlowApp, syntheticProfile(t))
 	startN(t, sup, 8)
 	gen := NewSaturatingLoad(2)
 	if err := sup.Run(gen, 2); err != nil {
@@ -173,17 +158,12 @@ func TestCapEventLandsMidQuantum(t *testing.T) {
 // — twice and requires bit-identical rounds, reports, and traces.
 func TestEventFleetDeterministic(t *testing.T) {
 	run := func() ([]RoundStats, Report, []TraceEvent) {
-		sup, err := New(Config{
+		sup := newOneGroup(t, Scenario{
 			Machines:        2,
 			CoresPerMachine: 2,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         syntheticProfile(t),
 			Budget:          500,
 			RecordTrace:     true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, newSlowApp, syntheticProfile(t))
 		insts := startN(t, sup, 6)
 		gen := NewSpikeLoad(7, 4, 20, 10, 3).WithRequestIters(10)
 		sup.SetBudgetAt(time.Unix(3, 0).Add(250*time.Millisecond), 400)

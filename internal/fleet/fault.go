@@ -318,8 +318,8 @@ type Resilience struct {
 }
 
 // SetFaults wires a fault model into the fleet before the first step —
-// the programmatic form of Scenario.Faults, usable with supervisors
-// built from the single-group Config shim.
+// the programmatic form of Scenario.Faults, for callers that build the
+// supervisor before loading the fault spec.
 func (s *Supervisor) SetFaults(opts FaultOptions) error {
 	if opts.Model == nil {
 		return errors.New("fleet: FaultOptions requires a Model")

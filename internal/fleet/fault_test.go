@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/platform"
-	"repro/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden CSVs under testdata/")
@@ -102,17 +101,12 @@ func TestScheduleFaultDiscardsDegenerate(t *testing.T) {
 // with an empty fault schedule wired.
 func runNoOpFleet(t *testing.T, wire bool) (*Supervisor, Report) {
 	t.Helper()
-	sup, err := New(Config{
+	sup := newOneGroup(t, Scenario{
 		Machines:        2,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
 		Budget:          2 * 190,
 		RecordTrace:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, newSlowApp, syntheticProfile(t))
 	startN(t, sup, 2)
 	if wire {
 		if err := sup.SetFaults(FaultOptions{Model: FaultSchedule{}, Redispatch: true}); err != nil {
@@ -191,18 +185,13 @@ func chaosSchedule() FaultSchedule {
 // (resilience rows, replay fault columns) attached.
 func TestChaosReplay(t *testing.T) {
 	run := func() (*Supervisor, *ReplayResult) {
-		sup, err := New(Config{
+		sup := newOneGroup(t, Scenario{
 			Machines:        4,
 			CoresPerMachine: 1,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         syntheticProfile(t),
 			Budget:          4 * 190,
 			ControlDisabled: true,
 			RecordTrace:     true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, newSlowApp, syntheticProfile(t))
 		startN(t, sup, 4)
 		if err := sup.SetFaults(FaultOptions{Model: chaosSchedule(), Redispatch: true}); err != nil {
 			t.Fatal(err)
@@ -299,18 +288,13 @@ func TestChaosReplay(t *testing.T) {
 // kind over a 2-host fleet — and returns the supervisor.
 func goldenFaultRun(t *testing.T, workers int) *Supervisor {
 	t.Helper()
-	sup, err := New(Config{
+	sup := newOneGroup(t, Scenario{
 		Machines:        2,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
 		Budget:          2 * 190,
 		Workers:         workers,
 		RecordTrace:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, newSlowApp, syntheticProfile(t))
 	startN(t, sup, 2)
 	if err := sup.SetFaults(FaultOptions{Redispatch: true, Model: FaultSchedule{
 		{At: time.Unix(1, 250e6), Kind: FaultCrash, Host: 0, Rack: "rack-a", Duration: 800 * time.Millisecond, Instance: -1},
@@ -372,16 +356,7 @@ func TestFaultCSVGoldens(t *testing.T) {
 // crash fault wired.
 func goldenReplayRun(t *testing.T, faults bool) *ReplayResult {
 	t.Helper()
-	sup, err := New(Config{
-		Machines:        2,
-		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
-		ControlDisabled: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sup := newOneGroup(t, Scenario{Machines: 2, CoresPerMachine: 1, ControlDisabled: true}, newSlowApp, syntheticProfile(t))
 	startN(t, sup, 1)
 	if faults {
 		if err := sup.SetFaults(FaultOptions{Redispatch: true, Model: FaultSchedule{
@@ -469,18 +444,13 @@ func decodeFaultSchedule(data []byte) (FaultSchedule, bool) {
 // observables.
 func fuzzFleetRun(t *testing.T, fs FaultSchedule, redispatch bool, workers int) (*Supervisor, diffResult) {
 	t.Helper()
-	sup, err := New(Config{
+	sup := newOneGroup(t, Scenario{
 		Machines:        3,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
 		Budget:          3 * 190,
 		Workers:         workers,
 		RecordTrace:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, newSlowApp, syntheticProfile(t))
 	startN(t, sup, 3)
 	if err := sup.SetFaults(FaultOptions{Model: fs, Redispatch: redispatch}); err != nil {
 		t.Fatal(err)

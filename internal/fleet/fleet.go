@@ -51,8 +51,6 @@
 // app factory, calibrated profile, heart-rate target, arrival stream,
 // SLO, and contention pressure — sharing the machines and one power
 // budget, with dispatch, reporting, and autoscaling scoped per group.
-// The original single-factory Config survives as a deprecated-but-
-// working one-group shim over that path (New).
 //
 // Machine sharing is a pluggable Interference model over each host's
 // per-group resident counts. The uniform-share reference follows the
@@ -74,93 +72,12 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/calibrate"
 	"repro/internal/clock"
-	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/heartbeats"
 	"repro/internal/platform"
 	"repro/internal/workload"
 )
-
-// Config assembles a single-group fleet: one app factory, one profile,
-// one target for every instance.
-//
-// Config is the one-group compatibility shim over the Scenario
-// construction surface and is kept deprecated-but-working: New wraps it
-// into a Scenario with a single group named "default" under the
-// uniform-share interference model, so existing callers behave exactly
-// as before. New code should compose a Scenario of named WorkloadGroups
-// (NewScenario), which adds per-group app factories, targets, arrival
-// streams, SLOs, and contention-aware co-residency.
-type Config struct {
-	// Machines is the simulated machine count (required, >= 1).
-	Machines int
-	// CoresPerMachine defaults to 8 (the paper's dual quad-core R410).
-	CoresPerMachine int
-	// NewApp builds one application instance; every fleet instance gets
-	// its own copy, since knob actuation rewrites live app state
-	// (required). Copies must be deterministic.
-	NewApp func() (workload.App, error)
-	// Profile is the shared calibrated trade-off space (required).
-	Profile *calibrate.Profile
-	// Target is the per-instance heart-rate goal. Zero means the
-	// paper's convention: the baseline heart rate of one instance on an
-	// otherwise-unloaded machine at full frequency.
-	Target heartbeats.Target
-	// Policy selects the actuation solution (default MinQoS).
-	Policy control.Policy
-	// Power is the machine power model (default platform default).
-	Power platform.PowerModel
-	// Budget is the cluster-wide power cap in watts (<= 0 = unlimited).
-	Budget float64
-	// Quantum is the control quantum: the reporting round length
-	// (default 1s of virtual time).
-	Quantum time.Duration
-	// QuantumBeats is the per-instance actuator quantum (default 20).
-	QuantumBeats int
-	// MigrationDowntime is the blackout an instance suffers when moved
-	// between machines (default 100ms).
-	MigrationDowntime time.Duration
-	// Workers bounds the shard worker pool. Each host owns its own
-	// event queue and advances independently between global
-	// synchronization barriers. A window that holds less work than the
-	// engine's inline budget (64 events) runs on the caller's goroutine
-	// at any Workers value; a larger one hands its unfinished shards to
-	// a pool of up to Workers goroutines. 0 defaults to GOMAXPROCS; 1
-	// runs every shard inline (no goroutines are started). Every
-	// Workers value is bit-identical for a fixed seed (see
-	// docs/ARCHITECTURE.md for the determinism argument); Workers only
-	// changes wall-clock speed.
-	Workers int
-	// ArbiterInterval is the arbiter tick period; it defaults to
-	// Quantum and may be shorter for finer-grained re-arbitration.
-	ArbiterInterval time.Duration
-	// ControlDisabled runs every instance open-loop at its baseline
-	// setting (the "without dynamic knobs" configuration) — used to
-	// validate the event timeline against closed-form queueing models,
-	// where service times must stay deterministic.
-	ControlDisabled bool
-	// SplitDispatch routes each arrival to a uniformly random accepting
-	// instance (seeded, deterministic) instead of the default
-	// join-shortest-queue policy. A uniform random split of a Poisson
-	// stream is Poisson per instance, so under this mode the fleet is
-	// an ensemble of independent M/D/1 stations — the exact premise of
-	// the queueing oracle (cluster.PredictQueueing) and the
-	// provisioning planner (cluster.PlanInstances). Join-shortest-queue
-	// pools queues and strictly improves on that bound.
-	SplitDispatch bool
-	// EpochDispatch batches join-shortest-queue routing per
-	// coordinator window (see Scenario.EpochDispatch).
-	EpochDispatch bool
-	// Fluid enables the hybrid fluid/discrete engine with the given
-	// queue-depth threshold (see Scenario.Fluid). 0 disables.
-	Fluid int
-	// RecordTrace collects the event-time trace (Supervisor.Trace):
-	// arrivals, completions, cap changes, arbiter ticks, host state
-	// transitions, placement. Off by default; traces grow with load.
-	RecordTrace bool
-}
 
 // Host is one simulated machine of the fleet.
 type Host struct {
@@ -355,7 +272,7 @@ type Instance struct {
 func (inst *Instance) ID() int { return inst.id }
 
 // Group returns the name of the workload group the instance belongs to
-// ("default" for fleets built from the single-group Config shim).
+// (its Scenario.Groups entry's Name).
 func (inst *Instance) Group() string { return inst.grp.name }
 
 // GroupIndex returns the instance's group position in the scenario's
@@ -705,41 +622,6 @@ func epochTime() time.Time { return time.Unix(0, 0) }
 // defaultWorkers is the event engine's default shard pool size.
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// New builds a fleet supervisor from the single-group Config shim, with
-// empty machines; add instances with StartInstance. New code should
-// compose a Scenario of named workload groups instead (NewScenario) —
-// this path wraps cfg into a one-group scenario (group "default",
-// uniform-share interference) and behaves exactly as it always did.
-func New(cfg Config) (*Supervisor, error) {
-	if cfg.Machines >= 1 && (cfg.NewApp == nil || cfg.Profile == nil) {
-		return nil, fmt.Errorf("fleet: Config requires NewApp and Profile")
-	}
-	return NewScenario(Scenario{
-		Machines:        cfg.Machines,
-		CoresPerMachine: cfg.CoresPerMachine,
-		Groups: []WorkloadGroup{{
-			Name:    "default",
-			NewApp:  cfg.NewApp,
-			Profile: cfg.Profile,
-			Target:  cfg.Target,
-			Policy:  cfg.Policy,
-		}},
-		Interference:      UniformShare{},
-		Power:             cfg.Power,
-		Budget:            cfg.Budget,
-		Quantum:           cfg.Quantum,
-		QuantumBeats:      cfg.QuantumBeats,
-		MigrationDowntime: cfg.MigrationDowntime,
-		Workers:           cfg.Workers,
-		ArbiterInterval:   cfg.ArbiterInterval,
-		ControlDisabled:   cfg.ControlDisabled,
-		SplitDispatch:     cfg.SplitDispatch,
-		EpochDispatch:     cfg.EpochDispatch,
-		Fluid:             cfg.Fluid,
-		RecordTrace:       cfg.RecordTrace,
-	})
-}
-
 // ensureBaselines computes (once) the baseline-setting outputs of
 // per-iteration work items covering the first iters iterations of each
 // of the group's production streams. It runs in supervisor context
@@ -773,7 +655,7 @@ func (s *Supervisor) Now() time.Time {
 func (s *Supervisor) Round() int { return s.round }
 
 // Target returns the per-instance heart-rate goal of the first workload
-// group (the whole fleet's goal under the single-group Config shim).
+// group, Scenario.Groups[0] (the whole fleet's goal when it has one).
 func (s *Supervisor) Target() heartbeats.Target { return s.groups[0].target }
 
 // TargetOf returns the per-instance heart-rate goal of the given group
@@ -1354,8 +1236,8 @@ func (s *Supervisor) Step(gen *LoadGen) (RoundStats, error) {
 
 // groupGen resolves the generator feeding the given group this round:
 // a non-nil Step argument overrides the first group's configured
-// stream (the single-group compatibility path); every other group is
-// fed by its own WorkloadGroup.Load.
+// stream (how Replay and single-group callers drive the fleet); every
+// other group is fed by its own WorkloadGroup.Load.
 func (s *Supervisor) groupGen(gi int, gen *LoadGen) *LoadGen {
 	if gi == 0 && gen != nil {
 		return gen

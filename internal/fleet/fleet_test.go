@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/calibrate"
 	"repro/internal/cluster"
@@ -22,19 +23,24 @@ func syntheticProfile(t *testing.T) *calibrate.Profile {
 	return prof
 }
 
-func newTestFleet(t *testing.T, machines, cores int, budget float64) *Supervisor {
-	t.Helper()
-	sup, err := New(Config{
-		Machines:        machines,
-		CoresPerMachine: cores,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
-		Budget:          budget,
-	})
+// newOneGroup builds the fleet most tests drive: sc with one workload
+// group, "default", of newApp instances calibrated as prof, under the
+// uniform-share interference model the oracles assume. The machines
+// start empty; startN places instances.
+func newOneGroup(tb testing.TB, sc Scenario, newApp func() (workload.App, error), prof *calibrate.Profile) *Supervisor {
+	tb.Helper()
+	sc.Groups = []WorkloadGroup{{Name: "default", NewApp: newApp, Profile: prof}}
+	sc.Interference = UniformShare{}
+	sup, err := NewScenario(sc)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return sup
+}
+
+func newTestFleet(t *testing.T, machines, cores int, budget float64) *Supervisor {
+	t.Helper()
+	return newOneGroup(t, Scenario{Machines: machines, CoresPerMachine: cores, Budget: budget}, newSlowApp, syntheticProfile(t))
 }
 
 func startN(t *testing.T, sup *Supervisor, n int) []*Instance {
@@ -369,32 +375,47 @@ func TestFleetPlacement(t *testing.T) {
 	}
 }
 
-// TestLoadGenShapes pins the arrival processes: determinism for a fixed
-// seed, ramp monotonicity in expectation, and spike bursts.
+// TestLoadGenShapes pins the arrival processes through eventTimes, the
+// sampler the round seed runs: determinism for a fixed seed, ramp
+// monotonicity in expectation, and spike bursts.
 func TestLoadGenShapes(t *testing.T) {
+	const q = time.Second
+	roundStart := func(i int) time.Time { return epochTime().Add(time.Duration(i) * q) }
 	a, b := NewConstantLoad(7, 5), NewConstantLoad(7, 5)
 	for i := 0; i < 50; i++ {
-		if x, y := a.Arrivals(i), b.Arrivals(i); x != y {
-			t.Fatalf("round %d: same seed produced %d vs %d arrivals", i, x, y)
+		if x, y := a.eventTimes(i, roundStart(i), q), b.eventTimes(i, roundStart(i), q); !reflect.DeepEqual(x, y) {
+			t.Fatalf("round %d: same seed produced instants %v vs %v", i, x, y)
 		}
 	}
 	ramp := NewRampLoad(7, 0, 20, 100)
 	var early, late int
-	for i := 0; i < 50; i++ {
-		early += ramp.Arrivals(i)
-	}
-	for i := 50; i < 100; i++ {
-		late += ramp.Arrivals(i)
+	for i := 0; i < 100; i++ {
+		n := len(ramp.eventTimes(i, roundStart(i), q))
+		if i < 50 {
+			early += n
+		} else {
+			late += n
+		}
 	}
 	if late <= early {
 		t.Errorf("ramp arrivals did not grow: first half %d, second half %d", early, late)
 	}
 	spike := NewSpikeLoad(7, 0, 50, 10, 2)
+	burst := 0
 	for i := 0; i < 40; i++ {
-		n := spike.Arrivals(i)
-		if i%10 >= 2 && n != 0 {
-			t.Errorf("round %d outside burst produced %d arrivals, want 0", i, n)
+		ts := spike.eventTimes(i, roundStart(i), q)
+		if i%10 >= 2 && len(ts) != 0 {
+			t.Errorf("round %d outside burst produced %d arrivals, want 0", i, len(ts))
 		}
+		for _, at := range ts {
+			if at.Before(roundStart(i)) || !at.Before(roundStart(i+1)) {
+				t.Errorf("round %d arrival at %v lies outside its quantum", i, at)
+			}
+		}
+		burst += len(ts)
+	}
+	if burst == 0 {
+		t.Error("spike bursts produced no arrivals")
 	}
 	if _, ok := NewSaturatingLoad(3).Saturating(); !ok {
 		t.Error("saturating generator not reporting itself")
@@ -415,33 +436,14 @@ func TestPoissonLargeLambda(t *testing.T) {
 	}
 }
 
-// TestFleetRejectsZeroCostRequests checks the livelock guard: a stream
-// that completes without consuming virtual time must surface an error
-// instead of spinning a self-feeding instance forever.
-func TestFleetRejectsZeroCostRequests(t *testing.T) {
-	sup, err := New(Config{
-		Machines:        1,
-		CoresPerMachine: 1,
-		// ProductionIters < 0 yields streams that finish on their first
-		// Step without executing any work.
-		NewApp:  func() (workload.App, error) { return NewSynthetic(SyntheticOptions{ProductionIters: -1}), nil },
-		Profile: syntheticProfile(t),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	startN(t, sup, 1)
-	if err := sup.Run(NewSaturatingLoad(1), 1); err == nil || !strings.Contains(err.Error(), "advancing virtual time") {
-		t.Fatalf("want zero-cost livelock error, got %v", err)
-	}
-}
-
-// TestFleetConfigValidation covers constructor errors.
+// TestFleetConfigValidation checks the single-group fleet shape most
+// callers build: zero machines and a group without app or profile are
+// rejected, and so are out-of-range hosts.
 func TestFleetConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := NewScenario(Scenario{}); err == nil {
 		t.Error("want error for zero machines")
 	}
-	if _, err := New(Config{Machines: 1}); err == nil {
+	if _, err := NewScenario(Scenario{Machines: 1, Groups: []WorkloadGroup{{Name: "default"}}}); err == nil {
 		t.Error("want error for missing NewApp/Profile")
 	}
 	sup := newTestFleet(t, 1, 1, 0)
@@ -454,5 +456,19 @@ func TestFleetConfigValidation(t *testing.T) {
 	}
 	if err := sup.Migrate(inst, 9); err == nil {
 		t.Error("want error migrating to out-of-range host")
+	}
+}
+
+// TestFleetRejectsZeroCostRequests checks the livelock guard: a stream
+// that completes without consuming virtual time must surface an error
+// instead of spinning a self-feeding instance forever.
+func TestFleetRejectsZeroCostRequests(t *testing.T) {
+	// ProductionIters < 0 yields streams that finish on their first Step
+	// without executing any work.
+	zeroCost := func() (workload.App, error) { return NewSynthetic(SyntheticOptions{ProductionIters: -1}), nil }
+	sup := newOneGroup(t, Scenario{Machines: 1, CoresPerMachine: 1}, zeroCost, syntheticProfile(t))
+	startN(t, sup, 1)
+	if err := sup.Run(NewSaturatingLoad(1), 1); err == nil || !strings.Contains(err.Error(), "advancing virtual time") {
+		t.Fatalf("want zero-cost livelock error, got %v", err)
 	}
 }

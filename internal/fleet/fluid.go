@@ -17,7 +17,7 @@ package fleet
 //     cap, fault, and placement landings, JSQ arrival dispatch), so
 //     budget division and routing always see exact queue depths;
 //   - an arrival landing directly on a fluid instance (pre-routed
-//     split/epoch dispatch), so the queue it joins is current;
+//     split dispatch), so the queue it joins is current;
 //   - the round close, so per-round stats and percentile windows are
 //     exact.
 //

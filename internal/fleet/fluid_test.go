@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/platform"
-	"repro/internal/workload"
 )
 
 // countFluidTransitions returns how many fluid entries (State 1) and
@@ -42,18 +41,13 @@ func TestFluidMatchesMD1(t *testing.T) {
 		beatSec = 0.025
 		service = iters * beatSec // 0.5 s at 2.4 GHz baseline
 	)
-	sup, err := New(Config{
+	sup := newOneGroup(t, Scenario{
 		Machines:        1,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
 		ControlDisabled: true,
 		Fluid:           3,
 		RecordTrace:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, newSlowApp, syntheticProfile(t))
 	startN(t, sup, 1)
 	gen := NewConstantLoad(21, lambda).WithRequestIters(iters)
 	if err := sup.Run(gen, rounds); err != nil {
@@ -98,18 +92,13 @@ func TestFluidMatchesMD1(t *testing.T) {
 // threshold and returns its report plus trace.
 func fluidRun(t *testing.T, fluid int, lambda float64, rounds int) (Report, []TraceEvent) {
 	t.Helper()
-	sup, err := New(Config{
+	sup := newOneGroup(t, Scenario{
 		Machines:        2,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
 		ControlDisabled: true,
 		Fluid:           fluid,
 		RecordTrace:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, newSlowApp, syntheticProfile(t))
 	startN(t, sup, 2)
 	gen := NewConstantLoad(9, lambda).WithRequestIters(10)
 	if err := sup.Run(gen, rounds); err != nil {
@@ -153,19 +142,14 @@ func TestFluidCloseToDiscrete(t *testing.T) {
 func runFluidDiff(t *testing.T, workers int) diffResult {
 	t.Helper()
 	const machines = 8
-	sup, err := New(Config{
+	sup := newOneGroup(t, Scenario{
 		Machines:        machines,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
 		Budget:          machines * 190,
 		Workers:         workers,
 		Fluid:           4,
 		RecordTrace:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, newSlowApp, syntheticProfile(t))
 	insts := startN(t, sup, machines)
 	gen := NewConstantLoad(13, 44).WithRequestIters(10)
 
@@ -218,19 +202,14 @@ func FuzzFluidConservation(f *testing.F) {
 	f.Fuzz(func(t *testing.T, fluid, load, seed uint8) {
 		lambda := 1 + float64(load%64)
 		run := func(workers int) (*Supervisor, diffResult) {
-			sup, err := New(Config{
+			sup := newOneGroup(t, Scenario{
 				Machines:        3,
 				CoresPerMachine: 1,
-				NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-				Profile:         syntheticProfile(t),
 				Budget:          3 * 190,
 				Workers:         workers,
 				Fluid:           int(fluid),
 				RecordTrace:     true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			}, newSlowApp, syntheticProfile(t))
 			startN(t, sup, 3)
 			stepRounds(t, engineUnder(sup, workers), NewConstantLoad(int64(seed)+7, lambda).WithRequestIters(10), 5)
 			return sup, snapshotDiff(sup)

@@ -30,8 +30,8 @@ type Interference interface {
 	Share(cores int, counts []int, group int) float64
 }
 
-// UniformShare is the reference interference model and the default for
-// single-group fleets (Config): pure time-multiplexing, blind to group
+// UniformShare is the reference interference model (select it with
+// Scenario.Interference): pure time-multiplexing, blind to group
 // identity. A machine with C cores and I residents gives every resident
 // min(1, C/I) of a core — exactly the Sec. 5.5 sharing arithmetic the
 // cluster oracle (cluster.Oracle) predicts, which is why every
@@ -69,8 +69,8 @@ func uniformShare(cores, residents int) float64 {
 //
 // Same-group co-residents add no pressure beyond time-multiplexing —
 // a homogeneous fleet under PressureShare is bit-identical to
-// UniformShare, which is what keeps the single-group compatibility shim
-// and every oracle validation exact — and the cross-group penalty is
+// UniformShare, which is what keeps single-group fleets and every
+// oracle validation exact — and the cross-group penalty is
 // diluted by the core count (more cores, more shared-resource
 // headroom). All-zero pressures reduce the model to UniformShare for
 // any mix.

@@ -19,9 +19,9 @@ import (
 type Request struct {
 	ID int
 	// Group is the index of the workload group the request belongs to:
-	// requests dispatch only within their group (0 for fleets built
-	// from the single-group Config shim). The supervisor stamps it when
-	// the request enters the fleet.
+	// requests dispatch only within their group (an index into
+	// Scenario.Groups). The supervisor stamps it when the request enters
+	// the fleet.
 	Group int
 	// StreamIdx selects which production stream of the serving instance's
 	// application realizes the request (cycled modulo the stream count).
@@ -151,16 +151,6 @@ func (g *LoadGen) RequestIters() int { return g.reqIters }
 // (ok=false for open-loop generators).
 func (g *LoadGen) Saturating() (depth int, ok bool) {
 	return g.saturate, g.saturate > 0
-}
-
-// Arrivals samples the number of requests entering the fleet in the
-// given round. Saturating generators return 0; the supervisor tops up
-// queues directly.
-func (g *LoadGen) Arrivals(round int) int {
-	if g.saturate > 0 || g.rate == nil {
-		return 0
-	}
-	return poisson(g.rng, g.rate(round))
 }
 
 // next mints a request arriving at the given virtual time.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/platform"
-	"repro/internal/workload"
 )
 
 // TestDrainEventLandsMidQuantum is the acceptance check for event-time
@@ -29,17 +28,12 @@ func TestDrainEventLandsMidQuantum(t *testing.T) {
 	if 2*floor <= budget {
 		t.Fatalf("test premise broken: floor %.0f W per host no longer pins both under %.0f W", floor, budget)
 	}
-	sup, err := New(Config{
+	sup := newOneGroup(t, Scenario{
 		Machines:        2,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
 		Budget:          budget,
 		RecordTrace:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, newSlowApp, syntheticProfile(t))
 	insts := startN(t, sup, 2)
 	if insts[0].HostIndex() == insts[1].HostIndex() {
 		t.Fatal("instances not spread across hosts")
@@ -108,17 +102,12 @@ func TestDrainEventLandsMidQuantum(t *testing.T) {
 // joins the fleet at that exact instant and immediately absorbs the
 // backlog that accumulated while no instance accepted work.
 func TestStartAtLandsMidQuantum(t *testing.T) {
-	sup, err := New(Config{
+	sup := newOneGroup(t, Scenario{
 		Machines:        1,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
 		ControlDisabled: true,
 		RecordTrace:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, newSlowApp, syntheticProfile(t))
 	startAt := time.Unix(0, 0).Add(500 * time.Millisecond)
 	inst, err := sup.StartAt(startAt, -1)
 	if err != nil {
@@ -165,17 +154,12 @@ func TestStartAtLandsMidQuantum(t *testing.T) {
 // and requires bit-identical rounds, reports, and traces.
 func TestEventPlacementDeterministic(t *testing.T) {
 	run := func() ([]RoundStats, Report, []TraceEvent) {
-		sup, err := New(Config{
+		sup := newOneGroup(t, Scenario{
 			Machines:        2,
 			CoresPerMachine: 2,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         syntheticProfile(t),
 			Budget:          500,
 			RecordTrace:     true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, newSlowApp, syntheticProfile(t))
 		insts := startN(t, sup, 4)
 		gen := NewSpikeLoad(7, 4, 16, 8, 2).WithRequestIters(10)
 		sup.SetBudgetAt(time.Unix(2, 0).Add(250*time.Millisecond), 420)

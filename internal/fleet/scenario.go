@@ -7,9 +7,7 @@ package fleet
 // differently to the same cap; Scenario is how that mix is expressed —
 // each WorkloadGroup carries its own app factory, calibrated profile,
 // heart-rate target, arrival stream, and SLO, and co-residency between
-// groups flows through the pluggable Interference model. The original
-// single-factory Config survives as a one-group compatibility shim
-// built on this path (New).
+// groups flows through the pluggable Interference model.
 
 import (
 	"fmt"
@@ -70,8 +68,8 @@ type WorkloadGroup struct {
 }
 
 // Scenario composes a fleet from named workload groups sharing machines
-// and one cluster-wide power budget. It is the primary construction
-// surface; Config is the single-group compatibility shim.
+// and one cluster-wide power budget. It is the fleet's one construction
+// surface (NewScenario).
 type Scenario struct {
 	// Machines is the simulated machine count (required, >= 1).
 	Machines int
@@ -95,10 +93,16 @@ type Scenario struct {
 	// MigrationDowntime is the blackout an instance suffers when moved
 	// between machines (default 100ms).
 	MigrationDowntime time.Duration
-	// Workers bounds the shard worker pool that windows larger than the
-	// inline budget fan out to: 0 = GOMAXPROCS, 1 = run every shard
-	// inline on the caller's goroutine (see Config.Workers;
-	// results are bit-identical at every value).
+	// Workers bounds the shard worker pool. Each host owns its own
+	// event queue and advances independently between global
+	// synchronization barriers. A window that holds less work than the
+	// engine's inline budget (64 events) runs on the caller's goroutine
+	// at any Workers value; a larger one hands its unfinished shards to
+	// a pool of up to Workers goroutines. 0 defaults to GOMAXPROCS; 1
+	// runs every shard inline (no goroutines are started). Every
+	// Workers value is bit-identical for a fixed seed (see
+	// docs/ARCHITECTURE.md for the determinism argument); Workers only
+	// changes wall-clock speed.
 	Workers int
 	// ArbiterInterval is the arbiter tick period (default Quantum).
 	ArbiterInterval time.Duration
@@ -111,17 +115,6 @@ type Scenario struct {
 	// the independent-station premise of the composed per-group
 	// queueing oracle (cluster.Oracle.PredictMix).
 	SplitDispatch bool
-	// EpochDispatch batches join-shortest-queue routing per coordinator
-	// window: instead of every arrival being a global barrier (exact
-	// depths, serialized), each window's arrivals are routed up front
-	// against the window-start depth snapshot — sequential JSQ with the
-	// same lower-id tie-break, with each assignment bumping its target's
-	// snapshot depth — and then land as shard-local events. An
-	// approximation of exact JSQ (completions inside the window no
-	// longer influence routing within it), so it is opt-in; results are
-	// bit-identical at every Workers value because the coordinator's
-	// windows are Workers-invariant.
-	EpochDispatch bool
 	// Fluid enables the hybrid fluid/discrete engine: an instance whose
 	// queue reaches this depth stops simulating per-beat events and
 	// drains as an analytic flow at its measured service rate,
@@ -183,7 +176,7 @@ type group struct {
 // least-loaded machines (groups in declaration order). Drive it with
 // Step(nil)/Run(nil, n): every group's own Load generator feeds its
 // instances; a non-nil generator passed to Step overrides group 0's
-// stream (the single-group compatibility path).
+// stream.
 func NewScenario(sc Scenario) (*Supervisor, error) {
 	if sc.Machines < 1 {
 		return nil, fmt.Errorf("fleet: Machines %d < 1", sc.Machines)
@@ -329,8 +322,8 @@ func resolveGroup(index int, wg WorkloadGroup) (*group, error) {
 	return g, nil
 }
 
-// GroupNames returns the scenario's group names in declaration order
-// (a single-group shim reports its one group, named "default").
+// GroupNames returns the scenario's group names in Scenario.Groups
+// declaration order.
 func (s *Supervisor) GroupNames() []string {
 	out := make([]string, len(s.groups))
 	for i, g := range s.groups {

@@ -293,7 +293,7 @@ func TestPressureShareDegradesHeterogeneousColocation(t *testing.T) {
 
 	// Homogeneous co-location: the pressure default must reproduce the
 	// uniform reference bit for bit (same-group residents exert no
-	// cross-pressure), which is what keeps the Config shim and every
+	// cross-pressure), which is what keeps single-group fleets and every
 	// oracle validation exact.
 	uniHomo := run(UniformShare{}, false)
 	pressHomo := run(nil, false)
@@ -354,25 +354,26 @@ func TestGroupSLOAttachesAutoscaler(t *testing.T) {
 	}
 }
 
-// TestScenarioValidation covers constructor errors and the legacy
-// shim's mapping.
+// TestScenarioValidation covers constructor errors, out-of-range
+// placement arguments, and group-name lookup.
 func TestScenarioValidation(t *testing.T) {
 	prof := syntheticProfile(t)
 	good := WorkloadGroup{Name: "g", NewApp: newSlowApp, Profile: prof}
-	if _, err := NewScenario(Scenario{Machines: 1}); err == nil {
-		t.Error("want error for empty group list")
-	}
-	if _, err := NewScenario(Scenario{Machines: 0, Groups: []WorkloadGroup{good}}); err == nil {
-		t.Error("want error for zero machines")
-	}
-	if _, err := NewScenario(Scenario{Machines: 1, Groups: []WorkloadGroup{{Name: "g", NewApp: newSlowApp}}}); err == nil {
-		t.Error("want error for missing profile")
-	}
-	if _, err := NewScenario(Scenario{Machines: 1, Groups: []WorkloadGroup{good, good}}); err == nil {
-		t.Error("want error for duplicate group names")
-	}
-	if _, err := NewScenario(Scenario{Machines: 1, Groups: []WorkloadGroup{{NewApp: newSlowApp, Profile: prof}}}); err == nil {
-		t.Error("want error for unnamed group")
+	for _, tc := range []struct {
+		name string
+		sc   Scenario
+	}{
+		{"zero value", Scenario{}},
+		{"empty group list", Scenario{Machines: 1}},
+		{"zero machines", Scenario{Machines: 0, Groups: []WorkloadGroup{good}}},
+		{"missing app and profile", Scenario{Machines: 1, Groups: []WorkloadGroup{{Name: "g"}}}},
+		{"missing profile", Scenario{Machines: 1, Groups: []WorkloadGroup{{Name: "g", NewApp: newSlowApp}}}},
+		{"duplicate group names", Scenario{Machines: 1, Groups: []WorkloadGroup{good, good}}},
+		{"unnamed group", Scenario{Machines: 1, Groups: []WorkloadGroup{{NewApp: newSlowApp, Profile: prof}}}},
+	} {
+		if _, err := NewScenario(tc.sc); err == nil {
+			t.Errorf("%s: want error", tc.name)
+		}
 	}
 	sup, err := NewScenario(Scenario{Machines: 1, Groups: []WorkloadGroup{good}})
 	if err != nil {
@@ -387,20 +388,23 @@ func TestScenarioValidation(t *testing.T) {
 	if err := sup.AutoscaleGroup(5, nil, 0); err == nil {
 		t.Error("want error autoscaling an unknown group")
 	}
-
-	// The shim: one group named "default", same target resolution.
-	shim := newTestFleet(t, 1, 1, 0)
-	if names := shim.GroupNames(); len(names) != 1 || names[0] != "default" {
-		t.Errorf("shim group names = %v, want [default]", names)
+	if _, err := sup.StartInstance(5); err == nil {
+		t.Error("want error for out-of-range host")
 	}
-	if shim.GroupIndex("default") != 0 || shim.GroupIndex("nope") != -1 {
-		t.Error("GroupIndex lookup broken")
-	}
-	inst, err := shim.StartInstance(-1)
+	inst, err := sup.StartInstance(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inst.Group() != "default" || inst.GroupIndex() != 0 {
-		t.Errorf("shim instance group = %q/%d, want default/0", inst.Group(), inst.GroupIndex())
+	if err := sup.Migrate(inst, 9); err == nil {
+		t.Error("want error migrating to out-of-range host")
+	}
+	if names := sup.GroupNames(); len(names) != 1 || names[0] != "g" {
+		t.Errorf("group names = %v, want [g]", names)
+	}
+	if sup.GroupIndex("g") != 0 || sup.GroupIndex("nope") != -1 {
+		t.Error("GroupIndex lookup broken")
+	}
+	if inst.Group() != "g" || inst.GroupIndex() != 0 {
+		t.Errorf("instance group = %q/%d, want g/0", inst.Group(), inst.GroupIndex())
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"repro/internal/workload"
 )
 
 // diffResult is everything observable about a finished run that the
@@ -133,19 +131,14 @@ func runDiffScenario(t *testing.T, machines, instances, workers int, split bool,
 // scheduled, unstepped.
 func newDiffScenario(t *testing.T, machines, instances, workers int, split bool) *Supervisor {
 	t.Helper()
-	sup, err := New(Config{
+	sup := newOneGroup(t, Scenario{
 		Machines:        machines,
 		CoresPerMachine: 1,
-		NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-		Profile:         syntheticProfile(t),
 		Budget:          float64(machines) * 190, // binding: full load wants 210 W/host
 		Workers:         workers,
 		SplitDispatch:   split,
 		RecordTrace:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, newSlowApp, syntheticProfile(t))
 	insts := startN(t, sup, instances)
 
 	// The coupling edges, all at mid-window instants.
@@ -236,19 +229,14 @@ func TestShardedEngineBitIdenticalSaturated(t *testing.T) {
 	})
 
 	assertEnginesAgree(t, "spike-subquantum-ticks", func(workers int) diffResult {
-		sup, err := New(Config{
+		sup := newOneGroup(t, Scenario{
 			Machines:        4,
 			CoresPerMachine: 2,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         syntheticProfile(t),
 			Budget:          700,
 			ArbiterInterval: 250 * time.Millisecond,
 			Workers:         workers,
 			RecordTrace:     true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, newSlowApp, syntheticProfile(t))
 		insts := startN(t, sup, 10)
 		sup.DrainAt(time.Unix(3, 0).Add(700*time.Millisecond), insts[3])
 		stepRounds(t, engineUnder(sup, workers), NewSpikeLoad(7, 6, 24, 8, 2).WithRequestIters(10), 12)
@@ -350,17 +338,12 @@ func TestFaultScenarioBitIdenticalAcrossWorkers(t *testing.T) {
 func TestShardedEngineAutoscaledReplay(t *testing.T) {
 	rates := Fig8Rates(40, 10, 2026)
 	ref := assertEnginesAgree(t, "autoscaled-replay", func(workers int) diffResult {
-		sup, err := New(Config{
+		sup := newOneGroup(t, Scenario{
 			Machines:        2,
 			CoresPerMachine: 2,
-			NewApp:          func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil },
-			Profile:         syntheticProfile(t),
 			ControlDisabled: true,
 			Workers:         workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, newSlowApp, syntheticProfile(t))
 		startN(t, sup, 1)
 		scaler, err := NewHysteresisScaler(HysteresisConfig{SLO: SLO{P95: 1.3}, Max: 4})
 		if err != nil {
@@ -386,7 +369,6 @@ func TestShardedEngineAutoscaledReplay(t *testing.T) {
 // shard's trace buffer, filled in handling order, is the witness.
 func TestShardRunResumesInHeapOrder(t *testing.T) {
 	prof := syntheticProfile(t)
-	newApp := func() (workload.App, error) { return NewSynthetic(SyntheticOptions{}), nil }
 	build := func() (*Supervisor, *shard) {
 		sup, err := NewScenario(Scenario{
 			Machines:        1,
@@ -396,8 +378,8 @@ func TestShardRunResumesInHeapOrder(t *testing.T) {
 			Fluid:           4,
 			RecordTrace:     true,
 			Groups: []WorkloadGroup{
-				{Name: "batch", NewApp: newApp, Profile: prof, Instances: 2, Load: NewSaturatingLoad(2).WithRequestIters(1)},
-				{Name: "web", NewApp: newApp, Profile: prof, Instances: 1, Load: NewConstantLoad(3, 6).WithRequestIters(10)},
+				{Name: "batch", NewApp: newSlowApp, Profile: prof, Instances: 2, Load: NewSaturatingLoad(2).WithRequestIters(1)},
+				{Name: "web", NewApp: newSlowApp, Profile: prof, Instances: 1, Load: NewConstantLoad(3, 6).WithRequestIters(10)},
 			},
 		})
 		if err != nil {

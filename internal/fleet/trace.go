@@ -66,7 +66,7 @@ const (
 // applies (-1 otherwise). Instance- and request-scoped events carry the
 // name of the workload group they belong to (Group; empty for
 // fleet-global events like caps, arbiter ticks, and round closes).
-// Collected when Config.RecordTrace is set; exported so Fig. 8-style
+// Collected when Scenario.RecordTrace is set; exported so Fig. 8-style
 // spiky runs can be plotted from the exact event times instead of
 // quantum-rounded aggregates.
 type TraceEvent struct {
@@ -145,7 +145,7 @@ func (s *Supervisor) record(ev TraceEvent) {
 }
 
 // Trace returns the event-time trace collected so far (nil unless
-// Config.RecordTrace is set).
+// Scenario.RecordTrace is set).
 func (s *Supervisor) Trace() []TraceEvent {
 	out := make([]TraceEvent, len(s.trace))
 	copy(out, s.trace)

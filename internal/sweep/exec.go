@@ -6,8 +6,7 @@ import (
 	"os"
 )
 
-// ExecConfig is the shared CLI surface behind `cmd/fleet -sweep` and
-// the thin `cmd/sweep` binary.
+// ExecConfig is the CLI surface behind `cmd/fleet -sweep`.
 type ExecConfig struct {
 	// GridPath is the grid-spec JSON file.
 	GridPath string

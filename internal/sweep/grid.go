@@ -76,9 +76,8 @@ type Cell struct {
 	// Fluid is the hybrid fluid/discrete queue-depth threshold
 	// (0 = pure discrete).
 	Fluid int `json:"fluid"`
-	// EpochDispatch / SplitDispatch / ControlDisabled mirror the
-	// same-named fleet.Scenario fields.
-	EpochDispatch   bool `json:"epochDispatch"`
+	// SplitDispatch / ControlDisabled mirror the same-named
+	// fleet.Scenario fields.
 	SplitDispatch   bool `json:"splitDispatch"`
 	ControlDisabled bool `json:"controlDisabled"`
 	// Interference is "pressure" (default) or "uniform".

@@ -228,7 +228,6 @@ func buildSupervisor(cell Cell, seed int64, profiles *profileCache) (*fleet.Supe
 		Workers:         cell.Workers,
 		ArbiterInterval: time.Duration(cell.ArbiterIntervalMs * float64(time.Millisecond)),
 		Fluid:           cell.Fluid,
-		EpochDispatch:   cell.EpochDispatch,
 		SplitDispatch:   cell.SplitDispatch,
 		ControlDisabled: cell.ControlDisabled,
 	}
