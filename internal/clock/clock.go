@@ -9,7 +9,7 @@ package clock
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -47,34 +47,43 @@ func (Real) Sleep(d time.Duration) {
 	}
 }
 
-// Virtual is a manually advanced Clock. The zero value starts at the Unix
-// epoch and is safe for concurrent use.
+// Virtual is a manually advanced Clock. The zero value reads time.Time{}
+// (0001-01-01 UTC) and is safe for concurrent use.
+//
+// The clock is an immutable start plus an atomic offset, so no read or
+// advance takes a lock. That is exact: time.Time.Add is integer
+// arithmetic on the wall and monotonic readings, so start.Add(d1+…+dn)
+// equals start.Add(d1)…Add(dn), location included. The offset spans
+// ≈ 292 years; Advance panics rather than wrap past it.
 type Virtual struct {
-	mu  sync.Mutex
-	now time.Time
+	base time.Time
+	off  atomic.Int64 // nanoseconds since base
 }
 
 // NewVirtual returns a Virtual clock positioned at start.
 func NewVirtual(start time.Time) *Virtual {
-	return &Virtual{now: start}
+	return &Virtual{base: start}
 }
 
 // Now returns the current virtual time.
+//
+//fleetvet:noalloc
 func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
+	return v.base.Add(time.Duration(v.off.Load()))
 }
 
 // Advance moves the clock forward by d. It panics if d is negative:
-// virtual time, like real time, never runs backwards.
+// virtual time, like real time, never runs backwards. It also panics if
+// the clock would run past the end of its offset range.
+//
+//fleetvet:noalloc
 func (v *Virtual) Advance(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("clock: Advance by negative duration %v", d))
 	}
-	v.mu.Lock()
-	v.now = v.now.Add(d)
-	v.mu.Unlock()
+	if n := v.off.Add(int64(d)); n < int64(d) {
+		panic(fmt.Sprintf("clock: Advance by %v overflows the virtual clock", d))
+	}
 }
 
 // AdvanceSeconds moves the clock forward by s seconds, a convenience for
@@ -93,12 +102,20 @@ func (v *Virtual) Sleep(d time.Duration) {
 }
 
 // Set positions the clock at t. It panics if t is earlier than the current
-// virtual time.
+// virtual time, or beyond the clock's offset range. Now then reports t's
+// instant in the location of the clock's start.
 func (v *Virtual) Set(t time.Time) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if t.Before(v.now) {
-		panic(fmt.Sprintf("clock: Set to %v before current %v", t, v.now))
+	d := int64(t.Sub(v.base))
+	if !v.base.Add(time.Duration(d)).Equal(t) {
+		panic(fmt.Sprintf("clock: Set to %v is out of range of a clock that started at %v", t, v.base))
 	}
-	v.now = t
+	for {
+		cur := v.off.Load()
+		if d < cur {
+			panic(fmt.Sprintf("clock: Set to %v before current %v", t, v.base.Add(time.Duration(cur))))
+		}
+		if v.off.CompareAndSwap(cur, d) {
+			return
+		}
+	}
 }

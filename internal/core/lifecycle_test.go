@@ -127,6 +127,57 @@ func TestDrainEndsRunEarly(t *testing.T) {
 	}
 }
 
+// TestDrainReleasesBlockedBeat drains a runtime whose session is blocked
+// at a beat boundary by Pause: the blocked Step must return done and
+// drained without executing the beat, so the beat count and the
+// machine clock stay where the pause left them. (Should Drain land
+// before the stepping goroutine blocks, the prologue sees it at once;
+// the outcome checked is the same.)
+func TestDrainReleasesBlockedBeat(t *testing.T) {
+	rt, st := lifecycleRuntime(t, nil)
+	sess := rt.NewSession(st)
+	for i := 0; i < 3; i++ {
+		if done, err := sess.Step(); done || err != nil {
+			t.Fatalf("step %d: done=%v err=%v", i, done, err)
+		}
+	}
+	rt.Pause()
+	beats, at := rt.Snapshot().Beats, rt.Machine().Clock().Now()
+	type result struct {
+		done bool
+		err  error
+	}
+	stepped := make(chan result, 1)
+	go func() {
+		done, err := sess.Step()
+		stepped <- result{done, err}
+	}()
+	select {
+	case r := <-stepped:
+		t.Fatalf("paused session stepped: done=%v err=%v", r.done, r.err)
+	case <-time.After(30 * time.Millisecond):
+	}
+	rt.Drain()
+	var r result
+	select {
+	case r = <-stepped:
+	case <-time.After(2 * time.Second):
+		t.Fatal("drain did not release the blocked beat")
+	}
+	if r.err != nil || !r.done || !sess.Drained() {
+		t.Fatalf("released step: done=%v err=%v drained=%v, want done and drained", r.done, r.err, sess.Drained())
+	}
+	if got := rt.Snapshot().Beats; got != beats {
+		t.Errorf("beats = %d after the drained step, want %d", got, beats)
+	}
+	if got := sess.Summary().Beats; got != 3 {
+		t.Errorf("session summary beats = %d, want 3", got)
+	}
+	if now := rt.Machine().Clock().Now(); now != at {
+		t.Errorf("machine clock moved from %v to %v on a drained step", at, now)
+	}
+}
+
 // TestSnapshotConcurrentWithRun reads runtime state from another
 // goroutine throughout a run; the race detector validates the locking.
 func TestSnapshotConcurrentWithRun(t *testing.T) {

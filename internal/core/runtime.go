@@ -281,17 +281,6 @@ func (rt *Runtime) finishSnapshot(s Snapshot) Snapshot {
 	return s
 }
 
-// gate blocks while the runtime is paused and reports whether it is
-// draining. Called at every beat boundary.
-func (rt *Runtime) gate() (draining bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for rt.paused && !rt.draining {
-		rt.cond.Wait()
-	}
-	return rt.draining
-}
-
 // RunSummary reports one controlled stream execution.
 type RunSummary struct {
 	Output    workload.Output
@@ -356,13 +345,15 @@ func (s *Session) Step() (done bool, err error) {
 		return true, nil
 	}
 	rt := s.rt
-	if rt.gate() {
+	setting, installed, idleRatio, draining := rt.beginBeat()
+	if draining {
 		s.done, s.drained = true, true
 		return true, nil
 	}
-	setting := rt.settingForBeat()
-	if err := rt.applySetting(setting); err != nil {
-		return false, err
+	if !installed {
+		if err := rt.installSetting(setting); err != nil {
+			return false, err
+		}
 	}
 	cost, ok := s.run.Step()
 	if !ok {
@@ -373,12 +364,6 @@ func (s *Session) Step() (done bool, err error) {
 		return true, nil
 	}
 	d := rt.mach.Execute(cost)
-	rt.mu.Lock()
-	idleRatio := 0.0
-	if !rt.off {
-		idleRatio = rt.sch.IdleRatio()
-	}
-	rt.mu.Unlock()
 	if idleRatio > 0 {
 		rt.mach.Idle(time.Duration(float64(d) * idleRatio))
 	}
@@ -509,25 +494,35 @@ func (rt *Runtime) RunStream(st workload.Stream) (RunSummary, error) {
 	return sess.Summary(), nil
 }
 
-// settingForBeat picks the knob setting for the current beat from the
-// quantum schedule.
-func (rt *Runtime) settingForBeat() knobs.Setting {
-	if rt.off {
-		return rt.baseline
-	}
+// beginBeat is a beat's prologue, one critical section on rt.mu: it
+// blocks while the runtime is paused and reports whether it is draining;
+// otherwise it picks the beat's knob setting from the quantum schedule,
+// whether that setting is already installed, and the schedule's idle
+// ratio. Reading all three here is exact: only finishBeat replaces
+// rt.sch and only installSetting writes rt.current, and both run on the
+// goroutine driving the beat.
+func (rt *Runtime) beginBeat() (setting knobs.Setting, installed bool, idleRatio float64, draining bool) {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.sch.Setting(rt.beats % rt.quantum)
+	for rt.paused && !rt.draining {
+		rt.cond.Wait()
+	}
+	if rt.draining {
+		rt.mu.Unlock()
+		return nil, false, 0, true
+	}
+	setting = rt.baseline
+	if !rt.off {
+		setting = rt.sch.Setting(rt.beats % rt.quantum)
+		idleRatio = rt.sch.IdleRatio()
+	}
+	installed = rt.current != nil && rt.current.Equal(setting)
+	rt.mu.Unlock()
+	return setting, installed, idleRatio, false
 }
 
-// applySetting installs the setting if it differs from the current one.
-func (rt *Runtime) applySetting(s knobs.Setting) error {
-	rt.mu.Lock()
-	same := rt.current != nil && rt.current.Equal(s)
-	rt.mu.Unlock()
-	if same {
-		return nil
-	}
+// installSetting applies a setting that differs from the current one
+// and records it as current.
+func (rt *Runtime) installSetting(s knobs.Setting) error {
 	if err := rt.sys.ApplySetting(s); err != nil {
 		return err
 	}

@@ -201,8 +201,9 @@ func (s *Supervisor) serve(now time.Time, inst *Instance, sink engineSink) error
 		return nil
 	}
 	// The instance clock is read once here and once after the beat:
-	// nothing but Idle and Step advances it in between, and each read is
-	// a mutex round-trip.
+	// nothing but Idle and Step advances it in between, so any other
+	// read would return a value already in hand. A read is an atomic
+	// load plus time.Time arithmetic, cheap but not free.
 	c := inst.clk.Now()
 	if c.Before(now) {
 		// The instance idled (or sat in blackout) since its last beat:

@@ -1,18 +1,14 @@
 package platform
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Meter emulates the WattsUp device of Sec. 5.1: it integrates energy as
 // the machine executes and exposes mean power per 1-second sampling
 // window plus whole-run statistics. It is safe for concurrent use — an
-// observer may read while the machine executes.
+// observer may read while the machine executes. Its readings are guarded
+// by the machine's mutex, so a beat books time and energy under one lock.
 type Meter struct {
 	m *Machine
-
-	mu sync.Mutex
 
 	// Current (partial) sampling window.
 	windowEnergy float64 // joules in the open window
@@ -30,12 +26,11 @@ const SampleInterval = time.Second
 func newMeter(m *Machine) *Meter { return &Meter{m: m} }
 
 // accumulate charges a duration of execution at the given power draw to
-// the meter, closing 1-second windows as they fill. The machine computes
-// the power under its own lock; an in-flight frequency change lands in
-// the next accumulation, as with the real meter's mixed-state windows.
+// the meter, closing 1-second windows as they fill. The caller holds
+// mt.m.mu, under which it also computed the power; an in-flight frequency
+// change lands in the next accumulation, as with the real meter's
+// mixed-state windows.
 func (mt *Meter) accumulate(d time.Duration, power float64) {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
 	remaining := d.Seconds()
 	for remaining > 0 {
 		space := SampleInterval.Seconds() - mt.windowTime
@@ -57,8 +52,8 @@ func (mt *Meter) accumulate(d time.Duration, power float64) {
 
 // Samples returns the completed 1-second mean-power readings.
 func (mt *Meter) Samples() []float64 {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
+	mt.m.mu.Lock()
+	defer mt.m.mu.Unlock()
 	out := make([]float64, len(mt.samples))
 	copy(out, mt.samples)
 	return out
@@ -67,8 +62,8 @@ func (mt *Meter) Samples() []float64 {
 // MeanPower returns the energy-weighted mean power in watts over the
 // whole run (0 before any time has elapsed).
 func (mt *Meter) MeanPower() float64 {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
+	mt.m.mu.Lock()
+	defer mt.m.mu.Unlock()
 	if mt.totalTime <= 0 {
 		return 0
 	}
@@ -77,15 +72,15 @@ func (mt *Meter) MeanPower() float64 {
 
 // Energy returns total joules consumed.
 func (mt *Meter) Energy() float64 {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
+	mt.m.mu.Lock()
+	defer mt.m.mu.Unlock()
 	return mt.totalEnergy
 }
 
 // Reset clears all accumulated readings.
 func (mt *Meter) Reset() {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
+	mt.m.mu.Lock()
+	defer mt.m.mu.Unlock()
 	mt.windowEnergy, mt.windowTime = 0, 0
 	mt.totalEnergy, mt.totalTime = 0, 0
 	mt.samples = nil

@@ -72,6 +72,8 @@ type Machine struct {
 	cores int
 	meter *Meter
 
+	// mu guards the fields below and the meter's readings: Execute, Run
+	// and Idle book time and energy in one critical section.
 	mu           sync.Mutex
 	state        int     // index into Frequencies
 	interference float64 // fraction of capacity consumed by co-located load
@@ -238,6 +240,8 @@ func (m *Machine) Speed() float64 {
 // virtual duration. A concurrent SetState or SetInterference takes
 // effect at the next Execute, as a DVFS transition lands at the next
 // scheduling boundary on real hardware.
+//
+//fleetvet:noalloc
 func (m *Machine) Execute(cost float64) time.Duration {
 	if cost <= 0 {
 		return 0
@@ -249,8 +253,8 @@ func (m *Machine) Execute(cost float64) time.Duration {
 	power := m.model.Power(Frequencies[m.state], 1)
 	m.busy += d
 	m.all += d
-	m.mu.Unlock()
 	m.meter.accumulate(d, power)
+	m.mu.Unlock()
 	m.clk.Advance(d)
 	return d
 }
@@ -271,8 +275,8 @@ func (m *Machine) Run(d time.Duration) {
 	power := m.model.Power(Frequencies[m.state], 1)
 	m.busy += d
 	m.all += d
-	m.mu.Unlock()
 	m.meter.accumulate(d, power)
+	m.mu.Unlock()
 	m.clk.Advance(d)
 }
 
@@ -293,8 +297,8 @@ func (m *Machine) Idle(d time.Duration) {
 		}
 		power := m.model.Power(Frequencies[m.state], m.interference)
 		m.all += seg
-		m.mu.Unlock()
 		m.meter.accumulate(seg, power)
+		m.mu.Unlock()
 		m.clk.Advance(seg)
 		d -= seg
 	}

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -301,5 +302,77 @@ func TestSetStateAtOverrides(t *testing.T) {
 	}
 	if err := m.SetStateAt(99, time.Unix(0, 0)); err == nil {
 		t.Fatal("want error for out-of-range scheduled state")
+	}
+}
+
+// meterWorkload drives one machine through a fixed sequence of beats,
+// idle gaps and scheduled DVFS changes — the shape of a runtime
+// goroutine serving under a moving cap.
+func meterWorkload(m *Machine) {
+	for i := 0; i < 2000; i++ {
+		if i%37 == 0 {
+			at := m.Clock().Now().Add(time.Duration(i%5) * 70 * time.Millisecond)
+			if err := m.SetStateAt(i%len(Frequencies), at); err != nil {
+				panic(err)
+			}
+		}
+		m.Execute(float64(1+i%7) * 1.3e7)
+		if i%3 == 0 {
+			m.Idle(time.Duration(1+i%11) * 9 * time.Millisecond)
+		}
+	}
+}
+
+// TestMeterConcurrentWithExecute reads the meter, the machine and its
+// clock from a second goroutine while a first one executes. The meter is
+// guarded by the machine's mutex, so the race detector checks that every
+// reader takes it, and the energy must match, bit for bit, the same
+// sequence run with nobody reading.
+func TestMeterConcurrentWithExecute(t *testing.T) {
+	alone := newTestMachine(t)
+	meterWorkload(alone)
+
+	m := newTestMachine(t)
+	started, stop := make(chan struct{}), make(chan struct{})
+	read := make(chan error, 1)
+	go func() {
+		var lastE float64
+		var lastN int
+		lastT := m.Clock().Now()
+		close(started)
+		for {
+			select {
+			case <-stop:
+				read <- nil
+				return
+			default:
+			}
+			mt := m.Meter()
+			_ = mt.MeanPower()
+			e, n, now := mt.Energy(), len(mt.Samples()), m.Clock().Now()
+			busy, all := m.Times()
+			_ = m.Frequency()
+			if e < lastE || n < lastN || now.Before(lastT) || busy > all {
+				read <- fmt.Errorf("reader saw the machine go backwards: energy %v→%v, samples %d→%d, clock %v→%v, busy %v > all %v",
+					lastE, e, lastN, n, lastT, now, busy, all)
+				return
+			}
+			lastE, lastN, lastT = e, n, now
+		}
+	}()
+	<-started
+	meterWorkload(m)
+	close(stop)
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Meter().Energy(), alone.Meter().Energy(); got != want {
+		t.Fatalf("energy with a concurrent reader = %v J, want %v J bit for bit", got, want)
+	}
+	if got, want := m.Clock().Now(), alone.Clock().Now(); got != want {
+		t.Fatalf("clock with a concurrent reader = %v, want %v", got, want)
+	}
+	if got, want := len(m.Meter().Samples()), len(alone.Meter().Samples()); got != want || got == 0 {
+		t.Fatalf("samples with a concurrent reader = %d, want %d (> 0)", got, want)
 	}
 }
