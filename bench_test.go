@@ -79,7 +79,8 @@ func BenchmarkModels(b *testing.B) { benchExperiment(b, "models") }
 // BenchmarkControlVariableReport regenerates the Sec. 2.1 reports.
 func BenchmarkControlVariableReport(b *testing.B) { benchExperiment(b, "report") }
 
-// BenchmarkAblations runs the design-choice ablations (DESIGN.md §5).
+// BenchmarkAblations runs the design-choice ablations (actuation policy,
+// quantum length, Pareto pruning, gain mismatch).
 func BenchmarkAblations(b *testing.B) { benchExperiment(b, "ablations") }
 
 // BenchmarkControllerOverhead measures the per-heartbeat cost of the

@@ -13,7 +13,7 @@ import (
 // Scale sizes benchmark inputs and sweep grids. The paper's evaluation
 // ran 1080p video and million-path Monte Carlo on a dedicated server;
 // these presets keep the same knob ranges and trade-off shapes at sizes
-// a laptop regenerates in seconds to minutes (DESIGN.md §7).
+// a laptop regenerates in seconds to minutes.
 type Scale int
 
 const (

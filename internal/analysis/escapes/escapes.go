@@ -1,5 +1,5 @@
-// Package escapes is the static complement to the benchmark
-// allocation guard (cmd/benchguard over BENCH_fleet.json): an
+// Package escapes is the static complement to the steady-state
+// allocation guard (internal/fleet's TestSteadyStateRoundAllocs): an
 // escape-analysis gate for the zero-alloc hot path. Functions marked
 // with a `//fleetvet:noalloc` doc-comment directive — the shard
 // serve/render path, the fluid drain, the event and request pools, the

@@ -9,9 +9,9 @@
 // the body is a synthetic 2-D articulated model observed through noisy
 // part-endpoint measurements, which preserves what the knobs actually
 // trade: annealing layers and particle count against tracking accuracy of
-// the same filter (see DESIGN.md, substitutions). The output abstraction
-// is the vector of body-part positions per frame, compared with the
-// magnitude-weighted distortion metric of Sec. 4.3.
+// the same filter, without camera footage or calibration. The output
+// abstraction is the vector of body-part positions per frame, compared
+// with the magnitude-weighted distortion metric of Sec. 4.3.
 package bodytrack
 
 import (

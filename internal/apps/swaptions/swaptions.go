@@ -9,7 +9,7 @@
 // 100 settings covering a 100× speedup range. To keep the reproduction
 // laptop-scale the defaults here span 200…20,000 in steps of 200 — the
 // same 100 settings and the same 100× range with the same 1/√N error
-// shape (see DESIGN.md, substitutions).
+// shape, since only the ratio of simulation counts sets the trade-off.
 package swaptions
 
 import (

@@ -11,8 +11,8 @@
 // present excluding stop words, and select words at random following a
 // power-law distribution. Here the corpus itself is synthetic — documents
 // drawn from a Zipf-distributed vocabulary — which preserves the
-// word-frequency structure the index and the query methodology depend on
-// (see DESIGN.md, substitutions). Documents are split into equal training
+// word-frequency structure the index and the query methodology depend on,
+// without shipping a book corpus. Documents are split into equal training
 // and production sets as in Table 1.
 package swishpp
 
@@ -36,8 +36,9 @@ const stopWords = 50
 // formatCost is the work, in ops, of formatting one returned result
 // (fetching document metadata and building the result line). Together
 // with the postings-scan cost this constant shapes the knob's speedup;
-// it is calibrated so the full knob range yields the paper's ~1.5×
-// (Sec. 5.2), and the realized value is recorded in EXPERIMENTS.md.
+// it is calibrated toward the paper's ~1.5× over the full knob range
+// (Sec. 5.2). The realized span is 1.94× at medium scale and 1.85× at
+// small (the Fig. 5d series of `go run ./cmd/experiments -exp fig5`).
 const formatCost = 20
 
 // Options sizes the benchmark. Zero fields take the noted defaults.

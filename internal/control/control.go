@@ -148,9 +148,11 @@ func (a *Actuator) Policy() Policy { return a.policy }
 func (a *Actuator) MaxSpeedup() float64 { return a.profile.MaxSpeedup() }
 
 // PlanFor solves the constraint system of Eqs. 9–11 for the commanded
-// speedup (see DESIGN.md §6 for the normalization): find time fractions
-// such that the time-weighted speedup equals the demand, choosing the
-// solution named by the policy.
+// speedup: find time fractions such that the time-weighted speedup
+// equals the demand, choosing the solution named by the policy. The
+// system is normalized: every time is a fraction of the quantum (the
+// fractions sum to at most 1) and every speedup is relative to the
+// baseline setting, whose speedup is 1.
 func (a *Actuator) PlanFor(s float64) Plan {
 	plan := Plan{Required: s, High: a.base, Low: a.base}
 	if s < 1 {

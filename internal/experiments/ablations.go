@@ -10,8 +10,9 @@ import (
 	"repro/internal/core"
 )
 
-// Ablations benchmarks the design choices DESIGN.md §5 calls out:
-// actuation policy, quantum length, and Pareto pruning.
+// Ablations benchmarks the reproduction's design choices: actuation
+// policy, quantum length, Pareto pruning, and the controller's tolerance
+// of plant-gain mismatch.
 func Ablations(w io.Writer, s *Suite) error {
 	if err := ablatePolicy(w, s); err != nil {
 		return err

@@ -312,7 +312,8 @@ func Fig8(w io.Writer, s *Suite) error {
 			// requires the full knob range (speedup ~1.5); its 30%
 			// bound holds for the *blended* loss the consolidated
 			// system actually delivers (Fig. 8d), not per setting. We
-			// follow the paper's provisioning (see EXPERIMENTS.md).
+			// follow the paper's provisioning, so swish++ actuates over
+			// its uncapped frontier.
 			profile = sys.Profile.WithCap(0)
 		}
 		orig, err := powerdial.NewCluster(powerdial.ClusterConfig{Machines: origMachines(name)})

@@ -1,7 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Sec. 5) as text tables and series, from the PowerDial
 // public API. Each experiment prints the rows or series the paper
-// reports; EXPERIMENTS.md records the paper-versus-measured comparison.
+// reports. experiments_test.go holds the shapes of those results (Table 2
+// correlations near one, Fig. 7's cap-and-recover timeline, Fig. 8's
+// machine counts); no committed record compares them with the paper's
+// numbers row by row.
 package experiments
 
 import (

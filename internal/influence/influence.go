@@ -16,7 +16,8 @@
 //
 // The paper builds this as an LLVM source instrumentor for C/C++; here the
 // same dynamic analysis is provided as a library against which application
-// initialization code is written (see DESIGN.md, substitutions). Tagged
+// initialization code is written, since the applications here are Go, not
+// C/C++. Tagged
 // values (Val) propagate influence sets through arithmetic; Store/Load
 // record variable accesses together with their statement sites; the first
 // heartbeat splits the trace exactly as in the paper.

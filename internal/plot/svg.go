@@ -1,7 +1,7 @@
 // Package plot is a dependency-free SVG chart emitter for the repo's
-// CLI and CI tooling: replay timelines (cmd/fleet -plot) and benchmark
-// trend figures (cmd/benchplot) render through it, so figures attach to
-// CI runs without pulling a plotting library into the module.
+// CLI and CI tooling: replay timelines (cmd/fleet -replay … -plot) and
+// sweep figures (cmd/fleet -sweep … -plot) render through it, so figures
+// attach to CI runs without pulling a plotting library into the module.
 //
 // The model is deliberately small: a figure is a titled column of
 // panels sharing one width; each panel is either a line panel (one or
