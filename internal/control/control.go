@@ -19,6 +19,7 @@ package control
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/calibrate"
 )
@@ -135,7 +136,7 @@ func NewActuator(p *calibrate.Profile, policy Policy) (*Actuator, error) {
 	if !ok {
 		return nil, fmt.Errorf("control: profile for %s lacks its baseline setting", p.App)
 	}
-	if len(p.Frontier()) == 0 {
+	if !slices.ContainsFunc(p.Results, func(r calibrate.SettingResult) bool { return r.Pareto }) {
 		return nil, fmt.Errorf("control: profile for %s has an empty Pareto frontier", p.App)
 	}
 	return &Actuator{profile: p, policy: policy, base: base}, nil

@@ -50,6 +50,10 @@ type RuntimeConfig struct {
 	// with the total beat count. Experiments use it to impose and lift
 	// power caps mid-run (Sec. 5.4).
 	BeatHook func(completedBeats int)
+	// CostPerBeat is the application's BaselineCostPerBeat on its
+	// training inputs. Zero measures it; a caller building many runtimes
+	// over copies of one deterministic app measures once and passes it.
+	CostPerBeat float64
 }
 
 // Runtime executes application streams on a simulated machine under
@@ -119,9 +123,12 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	if cfg.QuantumBeats == 0 {
 		cfg.QuantumBeats = control.DefaultQuantumBeats
 	}
-	costPerBeat, err := BaselineCostPerBeat(cfg.System.App, workload.Training)
-	if err != nil {
-		return nil, err
+	costPerBeat := cfg.CostPerBeat
+	if costPerBeat == 0 {
+		var err error
+		if costPerBeat, err = BaselineCostPerBeat(cfg.System.App, workload.Training); err != nil {
+			return nil, err
+		}
 	}
 	b := cfg.Machine.Speed() / costPerBeat
 	target := cfg.Target

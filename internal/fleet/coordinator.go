@@ -108,7 +108,7 @@ func (s *Supervisor) stepSharded(gen *LoadGen) (RoundStats, error) {
 				s.recycleEvent(ev)
 				continue
 			}
-			ev.inst = grpAcc[s.splitRng.Intn(len(grpAcc))]
+			ev.inst = grpAcc[s.split().Intn(len(grpAcc))]
 			ev.inst.host.shard.push(ev)
 		}
 		if err := s.runWindow(barrier); err != nil {

@@ -555,8 +555,7 @@ type Supervisor struct {
 	// arbitrate — the run's knob churn (KnobSwitches).
 	knobSwitches int
 
-	// splitRng realizes the uniform pick of SplitDispatch; a fixed seed
-	// keeps runs bit-identical.
+	// splitRng realizes the uniform pick of SplitDispatch (split).
 	splitRng *rand.Rand
 
 	// Hot-path free lists and scratch buffers: recycled Request and
@@ -612,9 +611,16 @@ type Supervisor struct {
 	dropped           int
 }
 
-// newSplitRng seeds the SplitDispatch RNG; the fixed seed keeps runs
+// split returns the SplitDispatch RNG, seeding it on the first pick: a
+// seeding costs as much as building a small replica, and only
+// SplitDispatch fleets ever draw. The fixed seed keeps runs
 // bit-identical.
-func newSplitRng() *rand.Rand { return rand.New(rand.NewSource(314159)) }
+func (s *Supervisor) split() *rand.Rand {
+	if s.splitRng == nil {
+		s.splitRng = rand.New(rand.NewSource(314159))
+	}
+	return s.splitRng
+}
 
 // epochTime is the fleet's virtual epoch.
 func epochTime() time.Time { return time.Unix(0, 0) }
@@ -622,11 +628,11 @@ func epochTime() time.Time { return time.Unix(0, 0) }
 // defaultWorkers is the event engine's default shard pool size.
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// ensureBaselines computes (once) the baseline-setting outputs of
-// per-iteration work items covering the first iters iterations of each
-// of the group's production streams. It runs in supervisor context
-// before instances can look the entries up, so the shared map is
-// read-only during a round.
+// ensureBaselines makes the baseline-setting outputs of per-iteration
+// work items covering the first iters iterations of each of the group's
+// production streams available to its instances. It runs in supervisor
+// context before instances can look the entries up, so the fleet's map
+// is read-only during a round.
 func (s *Supervisor) ensureBaselines(g *group, iters int) {
 	if iters <= 0 {
 		return
@@ -634,16 +640,7 @@ func (s *Supervisor) ensureBaselines(g *group, iters int) {
 	if _, ok := g.baseSliced[iters]; ok {
 		return
 	}
-	outs := make([]workload.Output, len(g.prodStreams))
-	for i, st := range g.prodStreams {
-		if iters < st.Len() {
-			_, out := workload.MeasureStream(g.probe, limitStream{Stream: st, n: iters}, g.profile.Baseline)
-			outs[i] = out
-		} else {
-			outs[i] = g.baseOuts[i]
-		}
-	}
-	g.baseSliced[iters] = outs
+	g.baseSliced[iters] = g.slicedBaselines(iters)
 }
 
 // Now returns the fleet's virtual time (the current quantum boundary).
@@ -724,6 +721,7 @@ func (s *Supervisor) newInstance(g *group, at time.Time) (*Instance, error) {
 		Policy:       g.policy,
 		QuantumBeats: s.cfg.QuantumBeats,
 		Disabled:     s.cfg.ControlDisabled,
+		CostPerBeat:  g.costPerBeat,
 	})
 	if err != nil {
 		return nil, err
@@ -1129,7 +1127,7 @@ func (s *Supervisor) dispatch(accepting []*Instance, req *Request) *Instance {
 	}
 	var best *Instance
 	if s.cfg.SplitDispatch {
-		best = accepting[s.splitRng.Intn(len(accepting))]
+		best = accepting[s.split().Intn(len(accepting))]
 	} else {
 		for _, inst := range accepting {
 			if best == nil || inst.QueueDepth() < best.QueueDepth() {

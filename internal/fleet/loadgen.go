@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/workload"
@@ -51,6 +53,11 @@ type LoadGen struct {
 	// returns a view of it, consumed by the round seed before the next
 	// call, so steady-state rounds sample arrivals without allocating.
 	times []time.Time
+
+	// rec, when set, supplies the arrival instants instead of rng: a
+	// replica's generator replaying a realization shared across fleets
+	// (replica).
+	rec *roundRecord[time.Time]
 }
 
 // NewConstantLoad produces Poisson arrivals with a fixed mean of
@@ -175,6 +182,9 @@ func (g *LoadGen) nextInto(r *Request, arrival time.Time) *Request {
 // gaps. Saturating generators return nil; the supervisor tops queues up
 // directly.
 func (g *LoadGen) eventTimes(round int, start time.Time, quantum time.Duration) []time.Time {
+	if g.rec != nil {
+		return g.rec.at(round)
+	}
 	if g.saturate > 0 || g.rate == nil {
 		return nil
 	}
@@ -194,6 +204,49 @@ func (g *LoadGen) eventTimes(round int, start time.Time, quantum time.Duration) 
 		}
 		out = append(out, t)
 	}
+}
+
+// roundRecord realizes a per-round draw once and replays it to any
+// number of fleets: round k holds what draw(k) returned, drawn the first
+// time any reader asks for round k or a later one. It is exact for a
+// source the engine consults once per round, in round order from round
+// 0, with arguments that depend on nothing but the round — a LoadGen's
+// eventTimes and a FaultModel's Events are both that, since a round's
+// start is the epoch plus round quanta. Safe for concurrent readers.
+type roundRecord[T any] struct {
+	mu     sync.Mutex
+	draw   func(round int) []T
+	rounds [][]T
+}
+
+// at returns round's realization; callers must not modify it.
+func (r *roundRecord[T]) at(round int) []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for len(r.rounds) <= round {
+		r.rounds = append(r.rounds, slices.Clone(r.draw(len(r.rounds))))
+	}
+	return r.rounds[round]
+}
+
+// record realizes g's arrival instants round by round, as a fleet with
+// the given quantum would sample them from the epoch (nil for a
+// generator that draws none). The record owns g from then on: only the
+// record may advance its random stream.
+func (g *LoadGen) record(quantum time.Duration) *roundRecord[time.Time] {
+	if g.saturate > 0 || g.rate == nil {
+		return nil
+	}
+	return &roundRecord[time.Time]{draw: func(round int) []time.Time {
+		return g.eventTimes(round, epochTime().Add(time.Duration(round)*quantum), quantum)
+	}}
+}
+
+// replica returns a generator that mints exactly what g would from its
+// current state, drawing arrival instants from rec (g's record; nil for
+// a saturating g, which draws none).
+func (g *LoadGen) replica(rec *roundRecord[time.Time]) *LoadGen {
+	return &LoadGen{rec: rec, saturate: g.saturate, reqIters: g.reqIters, nextID: g.nextID, nextIdx: g.nextIdx}
 }
 
 // limitStream is a per-iteration work item: the first n iterations of

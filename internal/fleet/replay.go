@@ -148,6 +148,12 @@ type ReplayResult struct {
 // installed via SetBudgetAt replay alongside the trace, so power-cap
 // events and consolidation interact like they do in Fig. 8.
 func Replay(sup *Supervisor, cfg ReplayConfig) (*ReplayResult, error) {
+	return replay(sup, cfg, NewTraceLoad)
+}
+
+// replay is Replay with the trace's generator supplied by traceLoad,
+// called with the defaulted seed and the rates.
+func replay(sup *Supervisor, cfg ReplayConfig, traceLoad func(seed int64, rates []float64) *LoadGen) (*ReplayResult, error) {
 	if len(cfg.Rates) == 0 {
 		return nil, fmt.Errorf("fleet: replay requires a rate trace")
 	}
@@ -184,7 +190,7 @@ func Replay(sup *Supervisor, cfg ReplayConfig) (*ReplayResult, error) {
 	if err := sup.Autoscale(scaler, cfg.Delay); err != nil {
 		return nil, err
 	}
-	gen := NewTraceLoad(cfg.Seed, cfg.Rates).WithRequestIters(cfg.ReqIters)
+	gen := traceLoad(cfg.Seed, cfg.Rates).WithRequestIters(cfg.ReqIters)
 
 	res := &ReplayResult{SLO: slo, MinInstances: math.MaxInt}
 	windowOpen := false

@@ -11,6 +11,7 @@ package fleet
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/calibrate"
@@ -132,23 +133,36 @@ type Scenario struct {
 	Faults *FaultOptions
 }
 
-// group is the supervisor's resolved per-group state: the workload
-// definition plus the shared measurement artifacts (probe app, baseline
-// outputs) and the per-run accounting that feeds Report.PerGroup.
-type group struct {
-	index   int
-	name    string
-	newApp  func() (workload.App, error)
-	profile *calibrate.Profile
-	policy  control.Policy
-	target  heartbeats.Target
-	slo     SLO
-	gen     *LoadGen
-
-	probe       workload.App
+// groupPlan is one workload group resolved: the definition plus what
+// resolving measures by running the app — the probe, the heart-rate
+// target, the production streams with their baseline outputs, and the
+// baseline cost per beat every instance's runtime would otherwise
+// re-measure. Every fleet instantiated from the plan shares it, so it
+// is read-only except for the sliced baselines, which grow under mu.
+type groupPlan struct {
+	index       int
+	name        string
+	newApp      func() (workload.App, error)
+	profile     *calibrate.Profile
+	policy      control.Policy
+	target      heartbeats.Target
+	slo         SLO
 	prodStreams []workload.Stream
-	baseOuts    []workload.Output         // baseline outputs per production stream
-	baseSliced  map[int][]workload.Output // shared sliced baselines, read-only during a round
+	baseOuts    []workload.Output // baseline outputs per production stream
+	costPerBeat float64           // baseline work units per training iteration
+
+	mu     sync.Mutex // guards probe and sliced
+	probe  workload.App
+	sliced map[int][]workload.Output // sliced baselines measured so far, by iteration cap
+}
+
+// group is one fleet's view of a resolved group: the shared plan plus
+// the fleet's own arrival stream, its copy of the sliced baselines, and
+// the per-run accounting that feeds Report.PerGroup.
+type group struct {
+	*groupPlan
+	gen        *LoadGen
+	baseSliced map[int][]workload.Output // read-only during a round
 
 	// Per-round arrival counter (open-loop mints at the round seed;
 	// self-feed mints drain from instances), zeroed by
@@ -171,6 +185,15 @@ type group struct {
 	lossN     int
 }
 
+// resolvedScenario is a validated scenario with its defaults filled in
+// and every group resolved: all NewScenario derives before it builds a
+// fleet, shared read-only by every fleet instantiated from it.
+type resolvedScenario struct {
+	sc     Scenario
+	itf    Interference
+	groups []*groupPlan
+}
+
 // NewScenario builds a fleet supervisor from a scenario of named
 // workload groups, starting each group's initial instances on the
 // least-loaded machines (groups in declaration order). Drive it with
@@ -178,6 +201,21 @@ type group struct {
 // instances; a non-nil generator passed to Step overrides group 0's
 // stream.
 func NewScenario(sc Scenario) (*Supervisor, error) {
+	r, err := resolveScenario(sc)
+	if err != nil {
+		return nil, err
+	}
+	counts := make([]int, len(sc.Groups))
+	gens := make([]*LoadGen, len(sc.Groups))
+	for i, wg := range sc.Groups {
+		counts[i], gens[i] = wg.Instances, wg.Load
+	}
+	return r.instantiate(counts, gens, sc.Faults)
+}
+
+// resolveScenario validates sc, fills in its defaults, and resolves
+// every group.
+func resolveScenario(sc Scenario) (*resolvedScenario, error) {
 	if sc.Machines < 1 {
 		return nil, fmt.Errorf("fleet: Machines %d < 1", sc.Machines)
 	}
@@ -224,20 +262,33 @@ func NewScenario(sc Scenario) (*Supervisor, error) {
 			return nil, fmt.Errorf("fleet: group %q Pressure %v < 0", wg.Name, wg.Pressure)
 		}
 	}
-	itf := sc.Interference
-	if itf == nil {
+	r := &resolvedScenario{sc: sc, itf: sc.Interference}
+	if r.itf == nil {
 		pressures := make([]float64, len(sc.Groups))
 		for i, wg := range sc.Groups {
 			pressures[i] = wg.Pressure
 		}
-		itf = PressureShare{Pressure: pressures}
+		r.itf = PressureShare{Pressure: pressures}
 	}
+	for i, wg := range sc.Groups {
+		g, err := resolveGroup(i, wg)
+		if err != nil {
+			return nil, err
+		}
+		r.groups = append(r.groups, g)
+	}
+	return r, nil
+}
 
+// instantiate builds an unstepped fleet from the resolved scenario:
+// counts[i] initial instances of group i, fed by gens[i] (nil offers
+// none), and faults wired when non-nil.
+func (r *resolvedScenario) instantiate(counts []int, gens []*LoadGen, faults *FaultOptions) (*Supervisor, error) {
+	sc := r.sc
 	s := &Supervisor{
-		cfg:      sc,
-		itf:      itf,
-		arb:      NewArbiter(sc.Power, sc.Budget),
-		splitRng: newSplitRng(),
+		cfg: sc,
+		itf: r.itf,
+		arb: NewArbiter(sc.Power, sc.Budget),
 	}
 	epoch := epochTime()
 	for i := 0; i < sc.Machines; i++ {
@@ -245,12 +296,8 @@ func NewScenario(sc Scenario) (*Supervisor, error) {
 		h.shard = &shard{sup: s, host: h}
 		s.hosts = append(s.hosts, h)
 	}
-	for i, wg := range sc.Groups {
-		g, err := resolveGroup(i, wg)
-		if err != nil {
-			return nil, err
-		}
-		s.groups = append(s.groups, g)
+	for i, gp := range r.groups {
+		s.groups = append(s.groups, &group{groupPlan: gp, gen: gens[i], baseSliced: make(map[int][]workload.Output)})
 	}
 	s.scalers = make([]scalerEntry, len(s.groups))
 	s.lastDesired = make([]int, len(s.groups))
@@ -266,15 +313,15 @@ func NewScenario(sc Scenario) (*Supervisor, error) {
 		}
 		s.scalers[gi] = scalerEntry{policy: scaler, delay: sc.Quantum / 2}
 	}
-	for gi, wg := range sc.Groups {
-		for i := 0; i < wg.Instances; i++ {
+	for gi, n := range counts {
+		for i := 0; i < n; i++ {
 			if _, err := s.StartInstanceIn(gi, -1); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if sc.Faults != nil {
-		if err := s.SetFaults(*sc.Faults); err != nil {
+	if faults != nil {
+		if err := s.SetFaults(*faults); err != nil {
 			return nil, err
 		}
 	}
@@ -282,33 +329,31 @@ func NewScenario(sc Scenario) (*Supervisor, error) {
 }
 
 // resolveGroup measures one group's shared artifacts: the probe app,
-// the resolved heart-rate target, and the baseline-setting outputs of
-// its production streams (shared by every instance of the group, since
-// app copies are deterministic).
-func resolveGroup(index int, wg WorkloadGroup) (*group, error) {
+// the baseline cost per beat and the heart-rate target it implies, and
+// the baseline-setting outputs of its production streams (shared by
+// every instance of the group, since app copies are deterministic).
+func resolveGroup(index int, wg WorkloadGroup) (*groupPlan, error) {
 	prof := wg.Profile
 	probe, err := wg.NewApp()
 	if err != nil {
 		return nil, fmt.Errorf("fleet: group %q: %w", wg.Name, err)
 	}
-	g := &group{
-		index:      index,
-		name:       wg.Name,
-		newApp:     wg.NewApp,
-		profile:    prof,
-		policy:     wg.Policy,
-		target:     wg.Target,
-		slo:        wg.SLO,
-		gen:        wg.Load,
-		probe:      probe,
-		baseSliced: make(map[int][]workload.Output),
+	g := &groupPlan{
+		index:   index,
+		name:    wg.Name,
+		newApp:  wg.NewApp,
+		profile: prof,
+		policy:  wg.Policy,
+		target:  wg.Target,
+		slo:     wg.SLO,
+		probe:   probe,
+		sliced:  make(map[int][]workload.Output),
+	}
+	if g.costPerBeat, err = core.BaselineCostPerBeat(probe, workload.Training); err != nil {
+		return nil, fmt.Errorf("fleet: group %q: %w", wg.Name, err)
 	}
 	if !g.target.Valid() {
-		costPerBeat, err := core.BaselineCostPerBeat(probe, workload.Training)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: group %q: %w", wg.Name, err)
-		}
-		b := platform.Frequencies[0] * platform.SpeedPerGHz / costPerBeat
+		b := platform.Frequencies[0] * platform.SpeedPerGHz / g.costPerBeat
 		g.target = heartbeats.Target{Min: b, Max: b}
 	}
 	g.prodStreams = probe.Streams(workload.Production)
@@ -320,6 +365,28 @@ func resolveGroup(index int, wg WorkloadGroup) (*group, error) {
 		g.baseOuts = append(g.baseOuts, out)
 	}
 	return g, nil
+}
+
+// slicedBaselines returns the baseline-setting outputs of per-iteration
+// work items covering the first iters iterations of each production
+// stream, measuring them on the probe the first time any fleet asks.
+func (g *groupPlan) slicedBaselines(iters int) []workload.Output {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if outs, ok := g.sliced[iters]; ok {
+		return outs
+	}
+	outs := make([]workload.Output, len(g.prodStreams))
+	for i, st := range g.prodStreams {
+		if iters < st.Len() {
+			_, out := workload.MeasureStream(g.probe, limitStream{Stream: st, n: iters}, g.profile.Baseline)
+			outs[i] = out
+		} else {
+			outs[i] = g.baseOuts[i]
+		}
+	}
+	g.sliced[iters] = outs
+	return outs
 }
 
 // GroupNames returns the scenario's group names in Scenario.Groups

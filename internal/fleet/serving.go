@@ -13,7 +13,9 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -237,43 +239,159 @@ func (s *Supervisor) StateSnapshot(recent int) FleetSnapshot {
 // so round 0 opens with the live fleet's queues. Scenario groups are
 // matched to snapshot groups by name; unmatched groups start empty.
 // The replica is ready for Replay — the twin's faster-than-real-time
-// what-if engine.
+// what-if engine. A caller building many replicas of one snapshot
+// plans them once instead (PlanReplicas).
 func NewFromSnapshot(sc Scenario, snap FleetSnapshot) (*Supervisor, error) {
+	p, err := PlanReplicas(sc, snap)
+	if err != nil {
+		return nil, err
+	}
+	return p.replica(0)
+}
+
+// ReplicaPlan is a scenario resolved once against a fleet snapshot, for
+// a what-if search that replays many replicas of it. Planning measures
+// what NewFromSnapshot would measure for every replica — each group's
+// probe, target, baseline outputs and cost per beat — and fixes the
+// snapshot's counts and backlog. The scenario's random streams (group
+// arrivals, faults) and Replay's trace are realized once and replayed to
+// every replica, which is exact because the engine draws them once per
+// round from arguments that depend only on the round. A replica then
+// costs only its instantiation and its rounds, and is the same fleet
+// NewFromSnapshot builds.
+//
+// Replay is safe to call from several goroutines: replicas share the
+// plan read-only, apart from realizations and sliced baselines that
+// fill in under their own locks. The groups' NewApp factories are then
+// called concurrently.
+type ReplicaPlan struct {
+	r       *resolvedScenario
+	counts  []int                     // each group's initial instances
+	backlog []int                     // each group's standing backlog
+	iters   []int                     // the backlog's request size, per group
+	loads   []*roundRecord[time.Time] // each group's arrival realization (nil: none drawn)
+	faults  *roundRecord[FaultEvent]  // the fault model's realization (nil: no faults)
+
+	mu         sync.Mutex // guards the trace slot
+	traceSeed  int64
+	traceRates []float64
+	trace      *roundRecord[time.Time]
+}
+
+// PlanReplicas resolves sc against snap once: the plan NewFromSnapshot
+// builds each replica from, with the same matching, count, budget and
+// backlog rules. The caller's scenario is not modified.
+func PlanReplicas(sc Scenario, snap FleetSnapshot) (*ReplicaPlan, error) {
+	// Replicas read the groups long after the caller may have reused
+	// the slice.
+	sc.Groups = slices.Clone(sc.Groups)
 	sc.Budget = snap.Budget
 	if sc.Quantum == 0 {
 		sc.Quantum = snap.Quantum
+	}
+	r, err := resolveScenario(sc)
+	if err != nil {
+		return nil, err
 	}
 	byName := make(map[string]*GroupSnapshot, len(snap.Groups))
 	for i := range snap.Groups {
 		byName[snap.Groups[i].Name] = &snap.Groups[i]
 	}
-	for i := range sc.Groups {
-		gs, ok := byName[sc.Groups[i].Name]
+	n, quantum := len(sc.Groups), r.sc.Quantum
+	p := &ReplicaPlan{r: r, counts: make([]int, n), backlog: make([]int, n), iters: make([]int, n), loads: make([]*roundRecord[time.Time], n)}
+	for i, wg := range sc.Groups {
+		p.counts[i] = wg.Instances
+		if wg.Load != nil {
+			p.loads[i] = wg.Load.record(quantum)
+		}
+		gs, ok := byName[wg.Name]
 		if !ok {
 			continue
 		}
-		if sc.Groups[i].Instances == 0 {
-			sc.Groups[i].Instances = gs.Accepting
+		if p.counts[i] == 0 {
+			p.counts[i] = gs.Accepting
+		}
+		p.backlog[i], p.iters[i] = gs.QueueDepth, gs.ReqIters
+		if wg.Load != nil {
+			p.iters[i] = wg.Load.reqIters
 		}
 	}
-	sup, err := NewScenario(sc)
+	if f := sc.Faults; f != nil && f.Model != nil {
+		hosts := sc.Machines
+		p.faults = &roundRecord[FaultEvent]{draw: func(round int) []FaultEvent {
+			return f.Model.Events(round, epochTime().Add(time.Duration(round)*quantum), quantum, hosts)
+		}}
+	}
+	return p, nil
+}
+
+// recordedFaults replays a plan's fault realization to one replica.
+type recordedFaults struct{ rec *roundRecord[FaultEvent] }
+
+// Events implements FaultModel.
+func (f recordedFaults) Events(round int, _ time.Time, _ time.Duration, _ int) []FaultEvent {
+	return f.rec.at(round)
+}
+
+// Replay builds one replica — n > 0 accepting instances of the first
+// group override the plan's count, as a nonzero WorkloadGroup.Instances
+// does for NewFromSnapshot — and replays cfg through it exactly as
+// Replay(NewFromSnapshot(...), cfg) would. Replicas replaying the same
+// Seed and Rates share one realization of the trace.
+func (p *ReplicaPlan) Replay(n int, cfg ReplayConfig) (*ReplayResult, error) {
+	sup, err := p.replica(n)
 	if err != nil {
 		return nil, err
 	}
-	for gi := range sc.Groups {
-		gs, ok := byName[sc.Groups[gi].Name]
-		if !ok {
-			continue
+	return replay(sup, cfg, p.traceLoad)
+}
+
+// replica instantiates one fleet from the plan, n > 0 overriding the
+// first group's count, with the snapshot's backlog injected at the
+// epoch.
+func (p *ReplicaPlan) replica(n int) (*Supervisor, error) {
+	counts := p.counts
+	if n > 0 {
+		counts = slices.Clone(p.counts)
+		counts[0] = n
+	}
+	gens := make([]*LoadGen, len(counts))
+	for i, wg := range p.r.sc.Groups {
+		if wg.Load != nil {
+			gens[i] = wg.Load.replica(p.loads[i])
 		}
-		iters := gs.ReqIters
-		if sc.Groups[gi].Load != nil {
-			iters = sc.Groups[gi].Load.reqIters
+	}
+	var faults *FaultOptions
+	if f := p.r.sc.Faults; f != nil {
+		faults = &FaultOptions{Model: f.Model, Redispatch: f.Redispatch}
+		if p.faults != nil {
+			faults.Model = recordedFaults{p.faults}
 		}
-		for i := 0; i < gs.QueueDepth; i++ {
-			if _, err := sup.InjectArrivalAt(epochTime(), gi, iters); err != nil {
+	}
+	sup, err := p.r.instantiate(counts, gens, faults)
+	if err != nil {
+		return nil, err
+	}
+	for gi, depth := range p.backlog {
+		for i := 0; i < depth; i++ {
+			if _, err := sup.InjectArrivalAt(epochTime(), gi, p.iters[gi]); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return sup, nil
+}
+
+// traceLoad is Replay's trace generator for one replica: a replay of
+// the plan's realization of (seed, rates), realized on first use. The
+// plan keeps the latest trace, which is all a search over candidates
+// for one projection needs.
+func (p *ReplicaPlan) traceLoad(seed int64, rates []float64) *LoadGen {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.trace == nil || p.traceSeed != seed || !slices.Equal(p.traceRates, rates) {
+		p.traceSeed, p.traceRates = seed, slices.Clone(rates)
+		p.trace = NewTraceLoad(seed, rates).record(p.r.sc.Quantum)
+	}
+	return &LoadGen{rec: p.trace}
 }

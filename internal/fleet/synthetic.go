@@ -127,22 +127,22 @@ func (a *Synthetic) Streams(set workload.InputSet) []workload.Stream {
 	}
 	out := make([]workload.Stream, n)
 	for i := range out {
-		out[i] = &synthStream{
-			app:   a,
-			name:  fmt.Sprintf("%s-%d", set, i),
-			iters: iters,
-		}
+		out[i] = &synthStream{app: a, set: set, index: i, iters: iters}
 	}
 	return out
 }
 
+// synthStream names itself only when asked: every fleet instance builds
+// its own streams, and formatting names nobody reads was a measurable
+// share of what a short-lived replica costs to construct.
 type synthStream struct {
 	app   *Synthetic
-	name  string
+	set   workload.InputSet
+	index int
 	iters int
 }
 
-func (s *synthStream) Name() string         { return s.name }
+func (s *synthStream) Name() string         { return fmt.Sprintf("%s-%d", s.set, s.index) }
 func (s *synthStream) Len() int             { return s.iters }
 func (s *synthStream) NewRun() workload.Run { return &synthRun{s: s} }
 

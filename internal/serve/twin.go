@@ -13,9 +13,10 @@ import (
 type TwinConfig struct {
 	// Scenario builds a fresh replica scenario — the same machines,
 	// groups, and knobs as the live fleet (required; a factory, because
-	// each what-if needs its own instances). The twin overrides group
-	// 0's Instances per candidate and fleet.NewFromSnapshot overrides
-	// Budget from the snapshot.
+	// each advice needs its own generators). Advise calls it once and
+	// plans every candidate from it (fleet.PlanReplicas): the plan
+	// overrides Budget from the snapshot and each candidate group 0's
+	// instance count, without writing into the returned scenario.
 	Scenario func() fleet.Scenario
 	// ReqIters sizes the replica's requests in stream iterations,
 	// matching what the gateway serves (0 = whole streams).
@@ -83,15 +84,21 @@ func (f fixedScaler) Scale(fleet.ScaleObservation) int { return int(f) }
 // the smallest count that ends the horizon with zero accountable SLO
 // violations and a backlog inside the SLO's queue watermark. If no
 // candidate manages that, MaxInstances is returned — the twin asks for
-// everything it may.
+// everything it may. The scenario is built and resolved once per
+// advice and the projection realized once; each candidate only
+// instantiates its replica from that plan and steps it.
 func (t *Twin) Advise(snap fleet.FleetSnapshot) (int, error) {
 	if len(snap.Groups) == 0 {
 		return 0, fmt.Errorf("serve: snapshot has no groups")
 	}
 	t.advises.Add(1)
+	plan, err := t.plan(snap)
+	if err != nil {
+		return 0, err
+	}
 	rates := t.projection(snap)
 	for n := 1; n <= t.cfg.MaxInstances; n++ {
-		ok, err := t.holds(snap, rates, n)
+		ok, err := t.verdict(plan, rates, n)
 		if err != nil {
 			return 0, err
 		}
@@ -118,23 +125,33 @@ func (t *Twin) projection(snap fleet.FleetSnapshot) []float64 {
 	return rates
 }
 
+// plan builds the replica scenario and resolves it against the snapshot.
+func (t *Twin) plan(snap fleet.FleetSnapshot) (*fleet.ReplicaPlan, error) {
+	sc := t.cfg.Scenario()
+	if len(sc.Groups) == 0 {
+		return nil, fmt.Errorf("serve: twin scenario factory built no groups")
+	}
+	return fleet.PlanReplicas(sc, snap)
+}
+
 // holds replays candidate count n from the snapshot against rates and
+// reports whether it keeps the SLO: the search of one candidate.
+func (t *Twin) holds(snap fleet.FleetSnapshot, rates []float64, n int) (bool, error) {
+	plan, err := t.plan(snap)
+	if err != nil {
+		return false, err
+	}
+	return t.verdict(plan, rates, n)
+}
+
+// verdict replays candidate count n from the plan against rates and
 // reports whether it keeps the SLO: no accountable violation over the
 // horizon and an end-of-horizon backlog inside the queue watermark.
 // One counted violation already rejects the candidate and the count
 // never falls, so the replay stops there: a failing candidate costs
 // its rounds to the first violation, only a holding one the horizon.
-func (t *Twin) holds(snap fleet.FleetSnapshot, rates []float64, n int) (bool, error) {
-	sc := t.cfg.Scenario()
-	if len(sc.Groups) == 0 {
-		return false, fmt.Errorf("serve: twin scenario factory built no groups")
-	}
-	sc.Groups[0].Instances = n
-	sup, err := fleet.NewFromSnapshot(sc, snap)
-	if err != nil {
-		return false, err
-	}
-	res, err := fleet.Replay(sup, fleet.ReplayConfig{
+func (t *Twin) verdict(plan *fleet.ReplicaPlan, rates []float64, n int) (bool, error) {
+	res, err := plan.Replay(n, fleet.ReplayConfig{
 		Rates:           rates,
 		Seed:            t.cfg.Seed,
 		ReqIters:        t.cfg.ReqIters,
