@@ -112,7 +112,7 @@ func runServe(o options) error {
 		if err != nil {
 			return err
 		}
-		hs := &http.Server{Handler: srv.Handler(o.reqIters)}
+		hs := newHTTPServer(srv.Handler(o.reqIters))
 		go hs.Serve(ln)
 		defer hs.Close()
 		fmt.Printf("gateway: POST http://%s/requests?group=web — stats at /stats\n", ln.Addr())
@@ -201,6 +201,19 @@ func runServe(o options) error {
 		fmt.Printf("wrote %d-sample latency histogram to %s\n", len(lats), o.latencyHist)
 	}
 	return nil
+}
+
+// A client gets one quantum to send its request headers, at most
+// maxHeaderBytes of them: a client that trickles headers (slowloris)
+// cannot hold a connection open for the whole run.
+const (
+	readHeaderTimeout = quantum
+	maxHeaderBytes    = 16 << 10
+)
+
+// newHTTPServer is the live gateway's HTTP server around h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, MaxHeaderBytes: maxHeaderBytes}
 }
 
 // writeLatencyHistCSV writes the served-request latency distribution as

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"net/url"
+	"strings"
 )
 
 // Stats is the serving loop's counter snapshot, as served by the
@@ -59,39 +61,49 @@ const maxItersDigits = 7
 //	POST /requests?group=<name>[&iters=<n>]
 //	    202 Accepted  — queued for the next round's admission decision
 //	    429 Too Many Requests — intake buffer full, request refused
-//	    404 Not Found — unknown group name
+//	    404 Not Found — unknown path or group
 //	    400 Bad Request — iters not a decimal number of at most
 //	        maxItersDigits digits
+//	    405 Method Not Allowed — not a POST
 //	GET /stats
 //	    200 with the Stats JSON
+//
+// The query reads as url.ParseQuery reads it: a repeated key's first
+// value wins and a segment holding ';' is dropped. Paths match exactly,
+// with no redirects: //requests is a 404, not net/http.ServeMux's 301,
+// which most clients re-issue as a GET only to meet the 405.
 //
 // defaultIters sizes requests that do not pass iters. The handler only
 // touches the gateway's concurrency-safe surface and the atomic
 // counters, so it serves from net/http's goroutines while the loop
-// runs.
+// runs. An accepted request allocates nothing.
 func (s *Server) Handler(defaultIters int) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/requests", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/stats":
+			w.Header().Set("Content-Type", "application/json")
+			if err := json.NewEncoder(w).Encode(s.Stats()); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			}
+			return
+		case r.URL.Path != "/requests":
+			http.NotFound(w, r)
+			return
+		case r.Method != http.MethodPost:
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		q := r.URL.Query()
-		name := q.Get("group")
+		name := queryValue(r.URL.RawQuery, "group")
 		gi, ok := s.groupIdx[name]
 		if !ok {
 			http.Error(w, "unknown group "+name, http.StatusNotFound)
 			return
 		}
 		iters := defaultIters
-		if v := q.Get("iters"); v != "" {
-			if len(v) > maxItersDigits {
-				http.Error(w, "bad iters", http.StatusBadRequest)
-				return
-			}
+		if v := queryValue(r.URL.RawQuery, "iters"); v != "" {
 			n := 0
-			for _, c := range v {
-				if c < '0' || c > '9' {
+			for i, c := range v {
+				if i == maxItersDigits || c < '0' || c > '9' {
 					http.Error(w, "bad iters", http.StatusBadRequest)
 					return
 				}
@@ -105,11 +117,39 @@ func (s *Server) Handler(defaultIters int) http.Handler {
 		}
 		w.WriteHeader(http.StatusAccepted)
 	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(s.Stats()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+}
+
+// queryValue is url.ParseQuery(raw).Get(key) without the map: empty and
+// ';' segments are skipped, and so is a pair that fails to unescape.
+//
+//fleetvet:noalloc
+func queryValue(raw, key string) string {
+	for raw != "" {
+		var seg string
+		seg, raw, _ = strings.Cut(raw, "&")
+		if seg == "" || strings.IndexByte(seg, ';') >= 0 {
+			continue
 		}
-	})
-	return mux
+		k, v, _ := strings.Cut(seg, "=")
+		if k, ok := queryUnescape(k); ok && k == key {
+			if v, ok := queryUnescape(v); ok {
+				return v
+			}
+		}
+	}
+	return ""
+}
+
+// queryUnescape is url.QueryUnescape, called only when s holds a '%' or
+// '+' (a byte loop: strings.ContainsAny goes through IndexRune).
+//
+//fleetvet:noalloc
+func queryUnescape(s string) (string, bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] == '%' || s[i] == '+' {
+			u, err := url.QueryUnescape(s)
+			return u, err == nil
+		}
+	}
+	return s, true
 }
