@@ -150,10 +150,12 @@ type options struct {
 }
 
 // workloadFor builds the per-instance app factory and its calibrated
-// profile.
-func workloadFor(appName, scale string) (func() (workload.App, error), *calibrate.Profile, error) {
+// profile. baseCost sizes the synthetic app (0 = its default) and is
+// ignored by the real benchmarks.
+func workloadFor(appName, scale string, baseCost float64) (func() (workload.App, error), *calibrate.Profile, error) {
 	if appName == "synthetic" {
-		newApp := func() (workload.App, error) { return fleet.NewSynthetic(fleet.SyntheticOptions{}), nil }
+		opts := fleet.SyntheticOptions{BaseCost: baseCost}
+		newApp := func() (workload.App, error) { return fleet.NewSynthetic(opts), nil }
 		probe, _ := newApp()
 		prof, err := powerdial.Calibrate(probe, powerdial.CalibrateOptions{})
 		return newApp, prof, err
@@ -192,7 +194,7 @@ const quantum = time.Second
 // drive: one group, "default", of instances copies of -app under the
 // uniform-share interference model the oracle cross-checks assume.
 func singleGroup(o options, instances int) (fleet.Scenario, error) {
-	newApp, prof, err := workloadFor(o.app, o.scale)
+	newApp, prof, err := workloadFor(o.app, o.scale, 0)
 	if err != nil {
 		return fleet.Scenario{}, err
 	}
@@ -207,6 +209,19 @@ func singleGroup(o options, instances int) (fleet.Scenario, error) {
 		Fluid:           o.fluid,
 		RecordTrace:     o.tracePath != "",
 	}, nil
+}
+
+// scheduleDrop lands the -drop-to budget change -drop-frac of the way
+// into round -drop-at: a mid-quantum cap event (none when -drop-to is
+// 0).
+func scheduleDrop(sup *fleet.Supervisor, o options) {
+	if o.dropTo == 0 {
+		return
+	}
+	at := time.Unix(0, 0).
+		Add(time.Duration(o.dropAt) * quantum).
+		Add(time.Duration(o.dropFrac * float64(quantum)))
+	sup.SetBudgetAt(at, o.dropTo)
 }
 
 func run(o options) error {
@@ -262,15 +277,7 @@ func run(o options) error {
 		return fmt.Errorf("unknown load %q (saturate | constant | ramp | spike)", o.load)
 	}
 	gen = gen.WithRequestIters(o.reqIters)
-
-	if o.dropTo != 0 {
-		// The budget change lands dropFrac of the way into round
-		// dropAt: a mid-quantum cap event.
-		at := time.Unix(0, 0).
-			Add(time.Duration(o.dropAt) * quantum).
-			Add(time.Duration(o.dropFrac * float64(quantum)))
-		sup.SetBudgetAt(at, o.dropTo)
-	}
+	scheduleDrop(sup, o)
 
 	chaos := ""
 	if faulted {
@@ -427,12 +434,7 @@ func runReplay(o options) error {
 	} else {
 		rates = fleet.Fig8Rates(o.rounds, o.rate, o.seed)
 	}
-	if o.dropTo != 0 {
-		at := time.Unix(0, 0).
-			Add(time.Duration(o.dropAt) * quantum).
-			Add(time.Duration(o.dropFrac * float64(quantum)))
-		sup.SetBudgetAt(at, o.dropTo)
-	}
+	scheduleDrop(sup, o)
 
 	chaos := ""
 	if faulted {

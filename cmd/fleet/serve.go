@@ -23,7 +23,7 @@ import (
 // recommendation forward into the autoscaler. This is the one place
 // the repo binds clock.Real; everything below it is clock-injected.
 func runServe(o options) error {
-	newApp, prof, err := workloadFor(o.app, o.scale)
+	newApp, prof, err := workloadFor(o.app, o.scale, 0)
 	if err != nil {
 		return err
 	}
@@ -58,12 +58,7 @@ func runServe(o options) error {
 	if err != nil {
 		return err
 	}
-	if o.dropTo != 0 {
-		at := time.Unix(0, 0).
-			Add(time.Duration(o.dropAt) * quantum).
-			Add(time.Duration(o.dropFrac * float64(quantum)))
-		sup.SetBudgetAt(at, o.dropTo)
-	}
+	scheduleDrop(sup, o)
 
 	clk := clock.Real{}
 	gw := serve.NewGateway(clk, 4096)

@@ -5,20 +5,23 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/spec"
 )
 
 // TestSpecDecodingIsStrict holds the -scenario and -faults loaders to
 // strict JSON decoding: a retired or misspelled key is an error naming
 // the key instead of a silently ignored setting, and the committed
-// example specs still decode.
+// example specs still decode. The validation rows both consumers share
+// are internal/spec's TestRejects.
 func TestSpecDecodingIsStrict(t *testing.T) {
 	decode := map[string]func(path string) error{
 		"scenario": func(path string) error {
-			var spec scenarioSpec
-			return readSpec("scenario", path, &spec)
+			_, err := spec.ReadScenario(path)
+			return err
 		},
 		"faults": func(path string) error {
-			_, err := loadFaults(path)
+			_, err := spec.ReadFaults(path)
 			return err
 		},
 	}

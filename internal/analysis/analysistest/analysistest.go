@@ -13,7 +13,6 @@
 package analysistest
 
 import (
-	"fmt"
 	"regexp"
 	"sort"
 	"strings"
@@ -42,20 +41,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) []analysis.Diagnostic {
 	if err != nil {
 		t.Fatalf("run %s on %s: %v", a.Name, dir, err)
 	}
-	check(t, pkg, diags)
-	return diags
-}
-
-// RunDirectives is Run for the built-in directive hygiene check
-// (vetdirectives), which is driver-level rather than an Analyzer.
-func RunDirectives(t *testing.T, dir string, known map[string]bool) []analysis.Diagnostic {
-	t.Helper()
-	loader := analysis.NewLoader()
-	pkg, err := loader.LoadDir(dir)
-	if err != nil {
-		t.Fatalf("load %s: %v", dir, err)
-	}
-	diags := analysis.CheckDirectives(pkg, known)
 	check(t, pkg, diags)
 	return diags
 }
@@ -123,26 +108,4 @@ func matchWant(wants []*expectation, d analysis.Diagnostic) bool {
 		}
 	}
 	return false
-}
-
-// MustContain asserts that some diagnostic message matches the pattern
-// — a convenience for driver-level tests outside want-comment packages.
-func MustContain(t *testing.T, diags []analysis.Diagnostic, pattern string) {
-	t.Helper()
-	re := regexp.MustCompile(pattern)
-	for _, d := range diags {
-		if re.MatchString(d.Message) {
-			return
-		}
-	}
-	t.Errorf("no diagnostic matches %q in:\n%s", pattern, Format(diags))
-}
-
-// Format renders diagnostics one per line for test failure output.
-func Format(diags []analysis.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		fmt.Fprintf(&b, "  %v\n", d)
-	}
-	return b.String()
 }

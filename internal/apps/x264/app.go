@@ -85,15 +85,6 @@ func New(opts Options) (*App, error) {
 	return a, nil
 }
 
-// MustNew is New for callers with static options.
-func MustNew(opts Options) *App {
-	a, err := New(opts)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Name implements workload.App.
 func (a *App) Name() string { return "x264" }
 

@@ -14,12 +14,12 @@
 package sweep
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/spec"
 )
 
 // Grid is the parameter-grid spec (JSON via ParseGrid): a base cell
@@ -58,30 +58,13 @@ type Axis struct {
 	Values []float64 `json:"values"`
 }
 
-// Cell is one grid cell's fleet configuration — the sweepable subset of
-// fleet.Scenario plus the mid-run budget-drop stimulus the arbitration
-// study measures cap response against.
+// Cell is one grid cell: a fleet spec (internal/spec, validated for
+// spec.Grid: synthetic apps only, derived seeds, inline seeded faults)
+// plus the sweep-only fields — the arrival-mix scale, the mid-run
+// budget-drop stimulus the arbitration study measures cap response
+// against, and the fault seed.
 type Cell struct {
-	// Machines / Cores / Budget size the cluster (defaults 2 / 2 /
-	// 400 W; an explicit budget <= 0 means unlimited).
-	Machines int      `json:"machines"`
-	Cores    int      `json:"cores"`
-	Budget   *float64 `json:"budget"`
-	// Workers selects the engine worker pool (0 = GOMAXPROCS; results
-	// are bit-identical at every value).
-	Workers int `json:"workers"`
-	// ArbiterIntervalMs is the arbiter tick period in milliseconds
-	// (0 = the control quantum, i.e. 1000).
-	ArbiterIntervalMs float64 `json:"arbiterIntervalMs"`
-	// Fluid is the hybrid fluid/discrete queue-depth threshold
-	// (0 = pure discrete).
-	Fluid int `json:"fluid"`
-	// SplitDispatch / ControlDisabled mirror the same-named
-	// fleet.Scenario fields.
-	SplitDispatch   bool `json:"splitDispatch"`
-	ControlDisabled bool `json:"controlDisabled"`
-	// Interference is "pressure" (default) or "uniform".
-	Interference string `json:"interference"`
+	spec.Spec
 	// RateScale multiplies every open-loop group's arrival rate
 	// (0 = 1) — the arrival-mix axis.
 	RateScale float64 `json:"rateScale"`
@@ -90,88 +73,28 @@ type Cell struct {
 	// stimulus whose response latency Stat.CapResponseS measures.
 	BudgetDropTo    float64 `json:"budgetDropTo"`
 	BudgetDropRound int     `json:"budgetDropRound"`
-	// Faults parameterizes the seeded stochastic fault model; nil
-	// injects nothing. FaultSeed pins the model seed for every
-	// replication of the cell (0 derives a fresh fault seed per
-	// replication from the replication seed).
-	Faults    *Faults `json:"faults"`
-	FaultSeed int64   `json:"faultSeed"`
-	// Groups are the workload groups (required, >= 1, unique names).
-	Groups []Group `json:"groups"`
+	// FaultSeed pins the fault-model seed for every replication of the
+	// cell (0 derives a fresh fault seed per replication from the
+	// replication seed).
+	FaultSeed int64 `json:"faultSeed"`
 }
 
-// Faults mirrors fleet.FaultConfig in JSON form (rates are mean faults
-// per round; durations in seconds).
-type Faults struct {
-	Redispatch    bool     `json:"redispatch"`
-	Racks         []string `json:"racks"`
-	CrashRate     float64  `json:"crashRate"`
-	RackRate      float64  `json:"rackRate"`
-	ThrottleRate  float64  `json:"throttleRate"`
-	StragglerRate float64  `json:"stragglerRate"`
-	SagRate       float64  `json:"sagRate"`
-	MeanOutageS   float64  `json:"meanOutageS"`
-	MeanThrottleS float64  `json:"meanThrottleS"`
-	MeanSlowS     float64  `json:"meanSlowS"`
-	MeanSagS      float64  `json:"meanSagS"`
-	ThrottleFloor int      `json:"throttleFloor"`
-	SlowFactor    float64  `json:"slowFactor"`
-	SagFactor     float64  `json:"sagFactor"`
-}
-
-// Group is one workload group of a cell: always the analytically exact
-// synthetic app (sweeps are thousands of runs; real benchmark apps
-// belong in single-shot -scenario runs), sized by BaseCost.
-type Group struct {
-	// Name is required and unique within the cell.
-	Name string `json:"name"`
-	// BaseCost sizes one baseline iteration in work units (0 = the
-	// 6e6 default; smaller = faster service).
-	BaseCost float64 `json:"baseCost"`
-	// Instances is the group's initial instance count (>= 1 unless an
-	// autoscaler is attached).
-	Instances int `json:"instances"`
-	// Load is constant | ramp | spike | saturate | none (default
-	// constant); Rate is mean arrivals per quantum for open-loop loads.
-	Load string  `json:"load"`
-	Rate float64 `json:"rate"`
-	// ReqIters sizes each request in stream iterations (0 = whole
-	// stream).
-	ReqIters int `json:"reqIters"`
-	// Pressure is the group's co-residency contention pressure.
-	Pressure float64 `json:"pressure"`
-	// SLOP95 attaches the default hysteresis autoscaler provisioning
-	// for this p95 bound in seconds (0 = no autoscaler); ScaleMax
-	// bounds it (0 = total cluster cores).
-	SLOP95   float64 `json:"sloP95"`
-	ScaleMax int     `json:"scaleMax"`
-}
-
-// Guard rails: a grid is an experiment spec, not a denial-of-service
-// vector — ParseGrid rejects anything past these bounds with an error
-// (FuzzSweepGrid holds the never-panic contract over arbitrary bytes).
+// Guard rails on top of the spec's own: a grid is an experiment spec,
+// not a denial-of-service vector — ParseGrid rejects anything past
+// these bounds with an error (FuzzSweepGrid holds the never-panic
+// contract over arbitrary bytes).
 const (
 	maxCells        = 4096
 	maxReplications = 1 << 20
 	maxRounds       = 100000
-	maxMachines     = 4096
-	maxInstances    = 4096
-	maxRate         = 1e5
-	minBaseCost     = 1e4
-	maxBaseCost     = 1e10
 )
 
 // ParseGrid decodes and validates a grid spec. Unknown JSON fields are
 // errors, so a typoed parameter cannot silently sweep nothing.
 func ParseGrid(data []byte) (*Grid, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var g Grid
-	if err := dec.Decode(&g); err != nil {
+	if err := spec.Decode(data, &g); err != nil {
 		return nil, fmt.Errorf("sweep: grid spec: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("sweep: grid spec: trailing data after the JSON object")
 	}
 	if err := g.validate(); err != nil {
 		return nil, err
@@ -234,31 +157,8 @@ func (g *Grid) validate() error {
 }
 
 func (c *Cell) validate() error {
-	if c.Machines == 0 {
-		c.Machines = 2
-	}
-	if c.Cores == 0 {
-		c.Cores = 2
-	}
-	if c.Machines < 1 || c.Machines > maxMachines {
-		return fmt.Errorf("machines %d outside [1, %d]", c.Machines, maxMachines)
-	}
-	if c.Cores < 1 || c.Cores > 64 {
-		return fmt.Errorf("cores %d outside [1, 64]", c.Cores)
-	}
-	if c.Workers < 0 || c.Workers > 256 {
-		return fmt.Errorf("workers %d outside [0, 256]", c.Workers)
-	}
-	if c.ArbiterIntervalMs < 0 || c.ArbiterIntervalMs > 1000 {
-		return fmt.Errorf("arbiterIntervalMs %v outside [0, 1000]", c.ArbiterIntervalMs)
-	}
-	if c.Fluid < 0 {
-		return fmt.Errorf("fluid %d < 0", c.Fluid)
-	}
-	switch c.Interference {
-	case "", "pressure", "uniform":
-	default:
-		return fmt.Errorf("unknown interference %q (pressure | uniform)", c.Interference)
+	if err := c.Spec.Validate(spec.Grid); err != nil {
+		return err
 	}
 	if c.RateScale < 0 || c.RateScale > 1e3 {
 		return fmt.Errorf("rateScale %v outside [0, 1000]", c.RateScale)
@@ -269,93 +169,13 @@ func (c *Cell) validate() error {
 	if c.BudgetDropTo > 0 && (c.BudgetDropRound < 0 || c.BudgetDropRound > maxRounds) {
 		return fmt.Errorf("budgetDropRound %d outside [0, %d]", c.BudgetDropRound, maxRounds)
 	}
-	if c.Faults != nil {
-		f := c.Faults
-		for _, r := range []struct {
-			name string
-			v    float64
-		}{
-			{"crashRate", f.CrashRate}, {"rackRate", f.RackRate},
-			{"throttleRate", f.ThrottleRate}, {"stragglerRate", f.StragglerRate},
-			{"sagRate", f.SagRate},
-		} {
-			if r.v < 0 || r.v > 100 {
-				return fmt.Errorf("faults %s %v outside [0, 100]", r.name, r.v)
-			}
-		}
-		for _, d := range []struct {
-			name string
-			v    float64
-		}{
-			{"meanOutageS", f.MeanOutageS}, {"meanThrottleS", f.MeanThrottleS},
-			{"meanSlowS", f.MeanSlowS}, {"meanSagS", f.MeanSagS},
-		} {
-			if d.v < 0 || d.v > 1e6 {
-				return fmt.Errorf("faults %s %v outside [0, 1e6]", d.name, d.v)
-			}
-		}
-		if len(f.Racks) > 64 {
-			return fmt.Errorf("faults has %d racks, max 64", len(f.Racks))
-		}
-	}
-	if len(c.Groups) == 0 {
-		return fmt.Errorf("cell has no groups")
-	}
-	names := map[string]bool{}
-	for i, gr := range c.Groups {
-		if gr.Name == "" {
-			return fmt.Errorf("group %d has no name", i)
-		}
-		if names[gr.Name] {
-			return fmt.Errorf("duplicate group %q", gr.Name)
-		}
-		names[gr.Name] = true
-		if gr.BaseCost != 0 && (gr.BaseCost < minBaseCost || gr.BaseCost > maxBaseCost) {
-			return fmt.Errorf("group %q baseCost %v outside [%v, %v]", gr.Name, gr.BaseCost, float64(minBaseCost), float64(maxBaseCost))
-		}
-		if gr.Instances < 0 || gr.Instances > maxInstances {
-			return fmt.Errorf("group %q instances %d outside [0, %d]", gr.Name, gr.Instances, maxInstances)
-		}
-		if gr.Instances == 0 && gr.SLOP95 <= 0 {
-			return fmt.Errorf("group %q has no instances and no autoscaler", gr.Name)
-		}
-		switch gr.Load {
-		case "", "constant", "ramp", "spike", "saturate", "none":
-		default:
-			return fmt.Errorf("group %q unknown load %q (constant | ramp | spike | saturate | none)", gr.Name, gr.Load)
-		}
-		if gr.Rate < 0 || gr.Rate > maxRate {
-			return fmt.Errorf("group %q rate %v outside [0, %v]", gr.Name, gr.Rate, float64(maxRate))
-		}
-		if gr.ReqIters < 0 || gr.ReqIters > 1e6 {
-			return fmt.Errorf("group %q reqIters %d outside [0, 1e6]", gr.Name, gr.ReqIters)
-		}
-		if gr.Pressure < 0 || gr.Pressure > 100 {
-			return fmt.Errorf("group %q pressure %v outside [0, 100]", gr.Name, gr.Pressure)
-		}
-		if gr.SLOP95 < 0 || gr.SLOP95 > 1e6 {
-			return fmt.Errorf("group %q sloP95 %v outside [0, 1e6]", gr.Name, gr.SLOP95)
-		}
-		if gr.ScaleMax < 0 || gr.ScaleMax > maxInstances {
-			return fmt.Errorf("group %q scaleMax %d outside [0, %d]", gr.Name, gr.ScaleMax, maxInstances)
-		}
-	}
 	return nil
 }
 
 // clone deep-copies the cell so axis application never aliases the base.
 func (c Cell) clone() Cell {
 	out := c
-	out.Groups = append([]Group(nil), c.Groups...)
-	if c.Budget != nil {
-		b := *c.Budget
-		out.Budget = &b
-	}
-	if c.Faults != nil {
-		f := *c.Faults
-		f.Racks = append([]string(nil), c.Faults.Racks...)
-		out.Faults = &f
-	}
+	out.Spec = c.Spec.Clone()
 	return out
 }
 
@@ -433,7 +253,7 @@ func applyParam(c *Cell, param string, v float64) error {
 	return nil
 }
 
-func applyGroupParam(g *Group, param, field string, v float64) error {
+func applyGroupParam(g *spec.Group, param, field string, v float64) error {
 	switch field {
 	case "rate":
 		g.Rate = v

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fleet"
 	"repro/internal/platform"
+	"repro/internal/spec"
 )
 
 // TestSweepOracleContainment is the statistical upgrade of the
@@ -49,7 +50,7 @@ func TestSweepOracleContainment(t *testing.T) {
 		Replications: reps,
 		Rounds:       rounds,
 		Warmup:       warmup,
-		Base: Cell{
+		Base: Cell{Spec: spec.Spec{
 			Machines: 2,
 			Cores:    2,
 			Budget:   &unlimited,
@@ -58,11 +59,11 @@ func TestSweepOracleContainment(t *testing.T) {
 			ControlDisabled: true,
 			SplitDispatch:   true,
 			Interference:    "uniform",
-			Groups: []Group{
+			Groups: []spec.Group{
 				{Name: "fast", BaseCost: fastCost, Instances: 2, Rate: fastLambda, ReqIters: iters},
 				{Name: "slow", BaseCost: slowCost, Instances: 2, Rate: slowLambda, ReqIters: iters},
 			},
-		},
+		}},
 	}
 	if err := g.validate(); err != nil {
 		t.Fatal(err)

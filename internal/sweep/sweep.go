@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/calibrate"
 	"repro/internal/fleet"
+	"repro/internal/spec"
 	"repro/internal/workload"
 )
 
@@ -217,111 +218,35 @@ func (p *profileCache) get(baseCost float64) (*calibrate.Profile, error) {
 // a role past any plausible group count.
 const faultSeedRole = 1 << 20
 
-// buildSupervisor materializes one replication's fleet: the cell
-// configuration with every stochastic stream seeded from the
-// replication seed.
+// buildSupervisor materializes one replication's fleet: the cell's spec
+// with its rates scaled and every stochastic stream seeded from the
+// replication seed. Cells are shared across workers, so the rates and
+// fault seed land on a copy.
 func buildSupervisor(cell Cell, seed int64, profiles *profileCache) (*fleet.Supervisor, error) {
-	sc := fleet.Scenario{
-		Machines:        cell.Machines,
-		CoresPerMachine: cell.Cores,
-		Budget:          400,
-		Workers:         cell.Workers,
-		ArbiterInterval: time.Duration(cell.ArbiterIntervalMs * float64(time.Millisecond)),
-		Fluid:           cell.Fluid,
-		SplitDispatch:   cell.SplitDispatch,
-		ControlDisabled: cell.ControlDisabled,
+	s := cell.Spec
+	if cell.RateScale != 0 {
+		s.Groups = append([]spec.Group(nil), s.Groups...)
+		for i := range s.Groups {
+			s.Groups[i].Rate *= cell.RateScale
+		}
 	}
-	if cell.Budget != nil {
-		sc.Budget = *cell.Budget
+	if s.Faults != nil {
+		f := *s.Faults
+		f.Seed = cell.FaultSeed
+		if f.Seed == 0 {
+			f.Seed = deriveSubSeed(seed, faultSeedRole)
+		}
+		s.Faults = &f
 	}
-	if cell.Interference == "uniform" {
-		sc.Interference = fleet.UniformShare{}
-	}
-	rateScale := cell.RateScale
-	if rateScale == 0 {
-		rateScale = 1
-	}
-	for gi, gr := range cell.Groups {
-		prof, err := profiles.get(gr.BaseCost)
+	resolve := func(g spec.Group) (func() (workload.App, error), *calibrate.Profile, error) {
+		prof, err := profiles.get(g.BaseCost)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		opts := fleet.SyntheticOptions{BaseCost: gr.BaseCost}
-		wg := fleet.WorkloadGroup{
-			Name:      gr.Name,
-			NewApp:    func() (workload.App, error) { return fleet.NewSynthetic(opts), nil },
-			Profile:   prof,
-			Instances: gr.Instances,
-			Pressure:  gr.Pressure,
-			SLO:       fleet.SLO{P95: gr.SLOP95},
-		}
-		gseed := deriveSubSeed(seed, gi)
-		rate := gr.Rate * rateScale
-		var gen *fleet.LoadGen
-		switch gr.Load {
-		case "", "constant":
-			gen = fleet.NewConstantLoad(gseed, rate)
-		case "ramp":
-			gen = fleet.NewRampLoad(gseed, 0, rate, 15)
-		case "spike":
-			gen = fleet.NewSpikeLoad(gseed, rate/3, rate*2, 10, 3)
-		case "saturate":
-			gen = fleet.NewSaturatingLoad(2)
-		case "none":
-			gen = nil
-		}
-		if gen != nil {
-			gen = gen.WithRequestIters(gr.ReqIters)
-		}
-		wg.Load = gen
-		sc.Groups = append(sc.Groups, wg)
+		opts := fleet.SyntheticOptions{BaseCost: g.BaseCost}
+		return func() (workload.App, error) { return fleet.NewSynthetic(opts), nil }, prof, nil
 	}
-	if cell.Faults != nil {
-		f := cell.Faults
-		fseed := cell.FaultSeed
-		if fseed == 0 {
-			fseed = deriveSubSeed(seed, faultSeedRole)
-		}
-		sc.Faults = &fleet.FaultOptions{
-			Redispatch: f.Redispatch,
-			Model: fleet.NewSeededFaults(fleet.FaultConfig{
-				Seed:          fseed,
-				Racks:         f.Racks,
-				CrashRate:     f.CrashRate,
-				RackRate:      f.RackRate,
-				ThrottleRate:  f.ThrottleRate,
-				StragglerRate: f.StragglerRate,
-				SagRate:       f.SagRate,
-				MeanOutage:    time.Duration(f.MeanOutageS * float64(time.Second)),
-				MeanThrottle:  time.Duration(f.MeanThrottleS * float64(time.Second)),
-				MeanSlow:      time.Duration(f.MeanSlowS * float64(time.Second)),
-				MeanSag:       time.Duration(f.MeanSagS * float64(time.Second)),
-				ThrottleFloor: f.ThrottleFloor,
-				SlowFactor:    f.SlowFactor,
-				SagFactor:     f.SagFactor,
-			}),
-		}
-	}
-	sup, err := fleet.NewScenario(sc)
-	if err != nil {
-		return nil, err
-	}
-	for gi, gr := range cell.Groups {
-		if gr.SLOP95 <= 0 || gr.ScaleMax <= 0 {
-			continue
-		}
-		scaler, err := fleet.NewHysteresisScaler(fleet.HysteresisConfig{
-			SLO: fleet.SLO{P95: gr.SLOP95},
-			Max: gr.ScaleMax,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := sup.AutoscaleGroup(gi, scaler, time.Second/2); err != nil {
-			return nil, err
-		}
-	}
-	return sup, nil
+	return s.Build(resolve, func(gi int) int64 { return deriveSubSeed(seed, gi) }, false)
 }
 
 // runReplication executes one seeded run of one cell and extracts its
