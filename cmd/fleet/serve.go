@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/csvcol"
 	"repro/internal/fleet"
 	"repro/internal/serve"
 )
@@ -211,37 +212,46 @@ func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, MaxHeaderBytes: maxHeaderBytes}
 }
 
-// writeLatencyHistCSV writes the served-request latency distribution as
-// cumulative histogram rows (le_s,count,cum_count). Bucket width is the
-// smallest round value keeping the table at or under 40 rows.
+// histBucket is one row of the latency histogram.
+type histBucket struct {
+	le         float64
+	count, cum int
+}
+
+// histCols is the latency histogram's CSV schema, documented in
+// docs/TRACE_FORMAT.md.
+var histCols = []csvcol.Col[histBucket]{
+	csvcol.Float("le_s", 'f', 3, func(b *histBucket) float64 { return b.le }),
+	csvcol.Int("count", func(b *histBucket) int { return b.count }),
+	csvcol.Int("cum_count", func(b *histBucket) int { return b.cum }),
+}
+
+// writeLatencyHistCSV writes the served-request latency distribution
+// (sorted ascending) as cumulative histogram rows. Bucket width is the
+// smallest round value keeping the table at or under 40 rows. Bucket k
+// ends at (k+1)·width: a running sum of widths drifts below the bound
+// it prints, and a latency on that bound would land a row late.
 func writeLatencyHistCSV(w io.Writer, lats []float64) error {
-	if _, err := fmt.Fprintln(w, "le_s,count,cum_count"); err != nil {
-		return err
-	}
-	if len(lats) == 0 {
-		return nil
-	}
-	max := lats[len(lats)-1] // AllLatencies is sorted ascending
-	widths := []float64{0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1, 2, 5}
-	width := widths[len(widths)-1]
-	for _, c := range widths {
-		if max <= 40*c {
-			width = c
-			break
+	var buckets []histBucket
+	if len(lats) > 0 {
+		max := lats[len(lats)-1]
+		widths := []float64{0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1, 2, 5}
+		width := widths[len(widths)-1]
+		for _, c := range widths {
+			if max <= 40*c {
+				width = c
+				break
+			}
+		}
+		for k, i := 0, 0; i < len(lats); k++ {
+			b := histBucket{le: float64(k+1) * width}
+			for i < len(lats) && lats[i] <= b.le {
+				b.count++
+				i++
+			}
+			b.cum = i
+			buckets = append(buckets, b)
 		}
 	}
-	cum := 0
-	for lo, i := 0.0, 0; i < len(lats); lo += width {
-		hi := lo + width
-		count := 0
-		for i < len(lats) && lats[i] <= hi {
-			count++
-			i++
-		}
-		cum += count
-		if _, err := fmt.Fprintf(w, "%.3f,%d,%d\n", hi, count, cum); err != nil {
-			return err
-		}
-	}
-	return nil
+	return csvcol.Write(w, histCols, buckets)
 }

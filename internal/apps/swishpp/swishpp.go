@@ -93,9 +93,6 @@ type Index struct {
 	numDocs  int
 }
 
-// NumDocs returns the indexed document count.
-func (ix *Index) NumDocs() int { return ix.numDocs }
-
 // buildIndex generates docs documents from a Zipf vocabulary and indexes
 // them.
 func buildIndex(docs, vocab int, rng *rand.Rand, prefix string) *Index {

@@ -88,10 +88,6 @@ func (o *Oracle) Predict(instances int) (Prediction, error) {
 // hold on target using its knobs.
 func (o *Oracle) MaxInstances() int { return o.sys.MaxInstances() }
 
-// System exposes the underlying provisioned-system model (sweeps,
-// traces, consolidation).
-func (o *Oracle) System() *System { return o.sys }
-
 // String describes the oracle's configuration.
 func (o *Oracle) String() string {
 	return fmt.Sprintf("oracle: %d machines x %d cores at %.2f GHz",

@@ -24,10 +24,19 @@ import (
 	"repro/internal/calibrate"
 )
 
-// Controller is the integral controller of Eqs. 3–4.
+// Controller is the integral controller of Eqs. 3–4 over a target
+// heart-rate band [gmin, gmax], the interface the Heartbeats framework
+// exposes ("express a desired performance in terms of a target minimum
+// and maximum heart rate", Sec. 2.3.1). Inside the band the error is
+// zero and the knobs hold still, avoiding QoS churn; below it the
+// controller speeds up toward gmin; above it, it slides back toward
+// gmax, recovering QoS (Sec. 1.1's "if the observed heart rate is
+// higher than the target"). The point band gmin == gmax == g is the
+// paper's experimental configuration and exactly Eq. 3's e = g − h.
 type Controller struct {
 	b    float64 // estimated baseline speed (beats/sec at speedup 1)
-	g    float64 // target heart rate
+	gmin float64 // target band
+	gmax float64
 	s    float64 // current commanded speedup s(t)
 	smax float64 // anti-windup clamp: largest achievable speedup
 }
@@ -35,21 +44,40 @@ type Controller struct {
 // NewController returns a controller for target heart rate g with
 // baseline-speed estimate b and maximum achievable speedup smax.
 func NewController(b, g, smax float64) (*Controller, error) {
-	if b <= 0 || g <= 0 {
-		return nil, fmt.Errorf("control: b and g must be positive (b=%v g=%v)", b, g)
+	return NewBandController(b, g, g, smax)
+}
+
+// NewBandController returns a controller for the target band
+// [gmin, gmax] with baseline-speed estimate b and maximum achievable
+// speedup smax.
+func NewBandController(b, gmin, gmax, smax float64) (*Controller, error) {
+	if b <= 0 || gmin <= 0 {
+		return nil, fmt.Errorf("control: b and gmin must be positive (b=%v gmin=%v)", b, gmin)
+	}
+	if gmax < gmin {
+		return nil, fmt.Errorf("control: gmax %v < gmin %v", gmax, gmin)
 	}
 	if smax < 1 {
 		return nil, fmt.Errorf("control: smax %v < 1", smax)
 	}
-	return &Controller{b: b, g: g, s: 1, smax: smax}, nil
+	return &Controller{b: b, gmin: gmin, gmax: gmax, s: 1, smax: smax}, nil
 }
 
 // Update consumes the observed heart rate h(t) and returns the commanded
-// speedup s(t). The stored state is clamped to the achievable range
-// [1, smax] (anti-windup: the integral never accumulates demand the
-// actuator cannot express).
+// speedup s(t), holding the current command while h is inside the
+// band. The stored state is clamped to the achievable range [1, smax]
+// (anti-windup: the integral never accumulates demand the actuator
+// cannot express).
 func (c *Controller) Update(h float64) float64 {
-	e := c.g - h
+	var e float64
+	switch {
+	case h < c.gmin:
+		e = c.gmin - h
+	case h > c.gmax:
+		e = c.gmax - h
+	default:
+		return c.s
+	}
 	c.s += e / c.b
 	if c.s < 1 {
 		c.s = 1
@@ -63,8 +91,8 @@ func (c *Controller) Update(h float64) float64 {
 // Speedup returns the current commanded speedup without updating.
 func (c *Controller) Speedup() float64 { return c.s }
 
-// Target returns g.
-func (c *Controller) Target() float64 { return c.g }
+// Band returns the target range.
+func (c *Controller) Band() (gmin, gmax float64) { return c.gmin, c.gmax }
 
 // Reset returns the controller to its initial state.
 func (c *Controller) Reset() { c.s = 1 }
@@ -141,9 +169,6 @@ func NewActuator(p *calibrate.Profile, policy Policy) (*Actuator, error) {
 	}
 	return &Actuator{profile: p, policy: policy, base: base}, nil
 }
-
-// Policy returns the actuator's configured policy.
-func (a *Actuator) Policy() Policy { return a.policy }
 
 // MaxSpeedup returns the largest achievable speedup.
 func (a *Actuator) MaxSpeedup() float64 { return a.profile.MaxSpeedup() }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/calibrate"
 	"repro/internal/control"
 	"repro/internal/heartbeats"
 	"repro/internal/knobs"
@@ -67,7 +66,7 @@ type Runtime struct {
 	sys     *System
 	mach    *platform.Machine
 	mon     *heartbeats.Monitor
-	ctl     *control.BandController
+	ctl     *control.Controller
 	act     *control.Actuator
 	quantum int
 	record  bool
@@ -551,9 +550,4 @@ func (rt *Runtime) CurrentPlanLoss() float64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.sch.Plan().ExpectedLoss()
-}
-
-// ProfileResult looks up the calibrated record of a setting.
-func (rt *Runtime) ProfileResult(s knobs.Setting) (calibrate.SettingResult, bool) {
-	return rt.sys.Profile.Lookup(s)
 }

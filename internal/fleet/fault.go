@@ -14,14 +14,13 @@ package fleet
 // adversarially, and Report.Resilience is how recovery is measured.
 
 import (
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"strconv"
 	"time"
 
+	"repro/internal/csvcol"
 	"repro/internal/platform"
 )
 
@@ -639,48 +638,28 @@ func (s *Supervisor) resilience() *Resilience {
 	return res
 }
 
-// WriteResilienceCSV writes one row per landed fault (the CI chaos
-// artifact). Columns:
-//
-//	kind             — crash, throttle, straggler, sag
-//	host             — target host index (-1 for sag)
-//	instance         — resolved straggler target (-1 otherwise)
-//	rack             — correlation label for rack outages (else empty)
-//	t_start_s        — fault landing, virtual seconds since the epoch
-//	t_end_s          — scheduled recovery instant
-//	redispatched     — displaced requests re-offered within their group
-//	dropped          — displaced requests dropped (Redispatch off)
-//	recovery_s       — seconds from landing to the pre-fault-p95 round
-//	                   end (-1 = not recovered in the run)
-//	violation_rounds — SLO-violating rounds attributable to the window
+// resilienceCols is the resilience CSV schema, documented in
+// docs/TRACE_FORMAT.md.
+var resilienceCols = []csvcol.Col[FaultRecord]{
+	{Name: "kind", Cell: func(rec *FaultRecord) string { return string(rec.Kind) }},
+	csvcol.Int("host", func(rec *FaultRecord) int { return rec.Host }),
+	csvcol.Int("instance", func(rec *FaultRecord) int { return rec.Instance }),
+	{Name: "rack", Cell: func(rec *FaultRecord) string { return rec.Rack }},
+	csvcol.Float("t_start_s", 'f', 6, func(rec *FaultRecord) float64 { return rec.At.Sub(epochTime()).Seconds() }),
+	csvcol.Float("t_end_s", 'f', 6, func(rec *FaultRecord) float64 { return rec.Until.Sub(epochTime()).Seconds() }),
+	csvcol.Int("redispatched", func(rec *FaultRecord) int { return rec.Redispatched }),
+	csvcol.Int("dropped", func(rec *FaultRecord) int { return rec.Dropped }),
+	csvcol.Float("recovery_s", 'f', 6, func(rec *FaultRecord) float64 { return rec.RecoverySeconds }),
+	csvcol.Int("violation_rounds", func(rec *FaultRecord) int { return rec.ViolationRounds }),
+}
+
+// WriteResilienceCSV writes one row per landed fault, in landing order
+// (the CI chaos artifact); a nil res writes the header alone. The
+// columns are documented in docs/TRACE_FORMAT.md.
 func WriteResilienceCSV(w io.Writer, res *Resilience) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"kind", "host", "instance", "rack", "t_start_s", "t_end_s",
-		"redispatched", "dropped", "recovery_s", "violation_rounds"}); err != nil {
-		return err
-	}
+	var faults []FaultRecord
 	if res != nil {
-		epoch := epochTime()
-		for _, rec := range res.Faults {
-			if err := cw.Write([]string{
-				string(rec.Kind),
-				strconv.Itoa(rec.Host),
-				strconv.Itoa(rec.Instance),
-				rec.Rack,
-				strconv.FormatFloat(rec.At.Sub(epoch).Seconds(), 'f', 6, 64),
-				strconv.FormatFloat(rec.Until.Sub(epoch).Seconds(), 'f', 6, 64),
-				strconv.Itoa(rec.Redispatched),
-				strconv.Itoa(rec.Dropped),
-				strconv.FormatFloat(rec.RecoverySeconds, 'f', 6, 64),
-				strconv.Itoa(rec.ViolationRounds),
-			}); err != nil {
-				return err
-			}
-		}
+		faults = res.Faults
 	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("fleet: resilience csv: %w", err)
-	}
-	return nil
+	return csvcol.Write(w, resilienceCols, faults)
 }

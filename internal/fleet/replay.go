@@ -15,6 +15,8 @@ import (
 	"math/rand"
 	"strconv"
 	"time"
+
+	"repro/internal/csvcol"
 )
 
 // ReplayConfig drives one Fig. 8 replay.
@@ -292,112 +294,64 @@ func replay(sup *Supervisor, cfg ReplayConfig, traceLoad func(seed int64, rates 
 	return res, nil
 }
 
-// WriteReplayCSV writes replay points as CSV with a header row. Columns
-// (see docs/TRACE_FORMAT.md for the full schema):
-//
-//	round        — reporting quantum index
-//	t_seconds    — quantum end, virtual seconds since the run epoch
-//	rate         — offered mean arrivals per quantum
-//	arrivals     — realized arrivals this quantum
-//	completions  — requests completed this quantum
-//	instances    — placed instances (accepting + draining) at quantum end
-//	accepting    — instances accepting new work
-//	desired      — the autoscaler's latest target count
-//	budget_w     — cluster power cap in watts (<= 0 = unlimited)
-//	power_w      — measured mean cluster power this quantum
-//	p95_s        — p95 request latency in seconds (0 = none completed)
-//	queue        — queued + in-flight + undispatched requests
-//	scaled       — 1 when the autoscaler acted at this quantum's close
-//	blackout     — 1 inside a settle window following an action
-//	slo_violated — 1 when p95_s exceeded the SLO
-//
-// For a heterogeneous scenario (more than one workload group) five
-// per-group columns are appended for each group, in declaration order:
-// g_<name>_accepting, g_<name>_arrivals, g_<name>_completions,
-// g_<name>_p95_s, g_<name>_queue. A single-group replay keeps the
-// original fifteen-column schema byte for byte.
-//
-// When the replayed fleet carries a fault model (ReplayPoint.Fault set),
-// four fault columns are appended after any group columns:
-// faults_landed, fault_active, redispatched, dropped. An unfaulted
-// replay emits none of them, keeping its schema byte for byte.
+// replayCols is the replay CSV schema for points, documented in
+// docs/TRACE_FORMAT.md.
+func replayCols(points []ReplayPoint) []csvcol.Col[ReplayPoint] {
+	type P = ReplayPoint
+	cols := []csvcol.Col[P]{
+		csvcol.Int("round", func(p *P) int { return p.Round }),
+		csvcol.Float("t_seconds", 'f', 6, func(p *P) float64 { return p.TSeconds }),
+		csvcol.Float("rate", 'g', -1, func(p *P) float64 { return p.Rate }),
+		csvcol.Int("arrivals", func(p *P) int { return p.Arrivals }),
+		csvcol.Int("completions", func(p *P) int { return p.Completions }),
+		csvcol.Int("instances", func(p *P) int { return p.Instances }),
+		csvcol.Int("accepting", func(p *P) int { return p.Accepting }),
+		csvcol.Int("desired", func(p *P) int { return p.Desired }),
+		csvcol.Float("budget_w", 'g', -1, func(p *P) float64 { return p.Budget }),
+		csvcol.Float("power_w", 'f', 3, func(p *P) float64 { return p.PowerWatts }),
+		csvcol.Float("p95_s", 'f', 6, func(p *P) float64 { return p.P95 }),
+		csvcol.Int("queue", func(p *P) int { return p.QueueDepth }),
+		csvcol.Bool("scaled", func(p *P) bool { return p.Scaled }),
+		csvcol.Bool("blackout", func(p *P) bool { return p.Blackout }),
+		csvcol.Bool("slo_violated", func(p *P) bool { return p.SLOViolated }),
+	}
+	if len(points) == 0 {
+		return cols
+	}
+	if groups := points[0].Groups; len(groups) > 1 {
+		for gi, g := range groups {
+			pre := "g_" + g.Group + "_"
+			cols = append(cols,
+				csvcol.Int(pre+"accepting", func(p *P) int { return p.Groups[gi].Accepting }),
+				csvcol.Int(pre+"arrivals", func(p *P) int { return p.Groups[gi].Arrivals }),
+				csvcol.Int(pre+"completions", func(p *P) int { return p.Groups[gi].Completions }),
+				csvcol.Float(pre+"p95_s", 'f', 6, func(p *P) float64 { return p.Groups[gi].P95 }),
+				csvcol.Int(pre+"queue", func(p *P) int { return p.Groups[gi].QueueDepth }))
+		}
+	}
+	if points[0].Fault != nil {
+		fault := func(p *P) ReplayFaultPoint {
+			if p.Fault == nil {
+				return ReplayFaultPoint{}
+			}
+			return *p.Fault
+		}
+		cols = append(cols,
+			csvcol.Int("faults_landed", func(p *P) int { return fault(p).Landed }),
+			csvcol.Bool("fault_active", func(p *P) bool { return fault(p).Active }),
+			csvcol.Int("redispatched", func(p *P) int { return fault(p).Redispatched }),
+			csvcol.Int("dropped", func(p *P) int { return fault(p).Dropped }))
+	}
+	return cols
+}
+
+// WriteReplayCSV writes replay points as CSV with a header row, one row
+// per point in order. The first point fixes the schema: a single-group,
+// unfaulted replay keeps the fifteen base columns byte for byte, and
+// the per-group and fault columns are appended only when the first
+// point has them (docs/TRACE_FORMAT.md).
 func WriteReplayCSV(w io.Writer, points []ReplayPoint) error {
-	cw := csv.NewWriter(w)
-	header := []string{"round", "t_seconds", "rate", "arrivals", "completions",
-		"instances", "accepting", "desired", "budget_w", "power_w", "p95_s",
-		"queue", "scaled", "blackout", "slo_violated"}
-	groupCols := len(points) > 0 && len(points[0].Groups) > 1
-	if groupCols {
-		for _, g := range points[0].Groups {
-			header = append(header,
-				"g_"+g.Group+"_accepting",
-				"g_"+g.Group+"_arrivals",
-				"g_"+g.Group+"_completions",
-				"g_"+g.Group+"_p95_s",
-				"g_"+g.Group+"_queue")
-		}
-	}
-	faultCols := len(points) > 0 && points[0].Fault != nil
-	if faultCols {
-		header = append(header, "faults_landed", "fault_active", "redispatched", "dropped")
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	b := func(v bool) string {
-		if v {
-			return "1"
-		}
-		return "0"
-	}
-	for _, pt := range points {
-		rec := []string{
-			strconv.Itoa(pt.Round),
-			strconv.FormatFloat(pt.TSeconds, 'f', 6, 64),
-			strconv.FormatFloat(pt.Rate, 'g', -1, 64),
-			strconv.Itoa(pt.Arrivals),
-			strconv.Itoa(pt.Completions),
-			strconv.Itoa(pt.Instances),
-			strconv.Itoa(pt.Accepting),
-			strconv.Itoa(pt.Desired),
-			strconv.FormatFloat(pt.Budget, 'g', -1, 64),
-			strconv.FormatFloat(pt.PowerWatts, 'f', 3, 64),
-			strconv.FormatFloat(pt.P95, 'f', 6, 64),
-			strconv.Itoa(pt.QueueDepth),
-			b(pt.Scaled),
-			b(pt.Blackout),
-			b(pt.SLOViolated),
-		}
-		if groupCols {
-			for _, g := range pt.Groups {
-				rec = append(rec,
-					strconv.Itoa(g.Accepting),
-					strconv.Itoa(g.Arrivals),
-					strconv.Itoa(g.Completions),
-					strconv.FormatFloat(g.P95, 'f', 6, 64),
-					strconv.Itoa(g.QueueDepth))
-			}
-		}
-		if faultCols {
-			fp := pt.Fault
-			if fp == nil {
-				fp = &ReplayFaultPoint{}
-			}
-			rec = append(rec,
-				strconv.Itoa(fp.Landed),
-				b(fp.Active),
-				strconv.Itoa(fp.Redispatched),
-				strconv.Itoa(fp.Dropped))
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("fleet: replay csv: %w", err)
-	}
-	return nil
+	return csvcol.Write(w, replayCols(points), points)
 }
 
 // Fig8Rates synthesizes the paper's Sec. 5.5 spiky consolidation trace

@@ -1,12 +1,11 @@
 package fleet
 
 import (
-	"encoding/csv"
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"time"
+
+	"repro/internal/csvcol"
 )
 
 // TraceKind labels one entry of the fleet's event-time trace.
@@ -152,52 +151,24 @@ func (s *Supervisor) Trace() []TraceEvent {
 	return out
 }
 
+// traceCols is the trace CSV schema, documented in docs/TRACE_FORMAT.md.
+var traceCols = []csvcol.Col[TraceEvent]{
+	csvcol.Float("t_seconds", 'f', 6, func(ev *TraceEvent) float64 { return ev.At.Sub(epochTime()).Seconds() }),
+	{Name: "kind", Cell: func(ev *TraceEvent) string { return string(ev.Kind) }},
+	csvcol.Int("instance", func(ev *TraceEvent) int { return ev.Instance }),
+	csvcol.Int("host", func(ev *TraceEvent) int { return ev.Host }),
+	csvcol.Int("state", func(ev *TraceEvent) int { return ev.State }),
+	csvcol.Float("value", 'g', -1, func(ev *TraceEvent) float64 { return ev.Value }),
+	{Name: "group", Cell: func(ev *TraceEvent) string { return ev.Group }},
+}
+
 // WriteTraceCSV writes trace events as CSV with a header row, in the
 // canonical SortTrace order (the input slice is not modified) — so the
-// CSV of a run is byte-identical at every Workers value.
-// Columns (see docs/TRACE_FORMAT.md for the full schema):
-//
-//	t_seconds — virtual seconds since the run epoch (fixed 6 decimals)
-//	kind      — the TraceKind string (arrival, shed, complete, cap,
-//	            fault, throttle, recover, arbiter, state, start, drain,
-//	            retire, migrate, scale, round)
-//	instance  — instance id the event is scoped to, -1 if none
-//	host      — host index the event is scoped to, -1 if none
-//	state     — DVFS state index for state and throttle events, -1
-//	            otherwise
-//	value     — kind-specific value: latency seconds (complete), watts
-//	            (cap, arbiter, round, sag fault), GHz (state, throttle),
-//	            desired instance count (scale), outage seconds (crash
-//	            fault), slowdown factor (straggler fault); 0 when unused
-//	group     — workload-group name for instance- and request-scoped
-//	            events, the rack label for rack-correlated crash faults
-//	            and their recoveries, empty for fleet-global ones
+// CSV of a run is byte-identical at every Workers value. The columns
+// and the event kinds are documented in docs/TRACE_FORMAT.md.
 func WriteTraceCSV(w io.Writer, events []TraceEvent) error {
 	sorted := make([]TraceEvent, len(events))
 	copy(sorted, events)
 	SortTrace(sorted)
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t_seconds", "kind", "instance", "host", "state", "value", "group"}); err != nil {
-		return err
-	}
-	epoch := time.Unix(0, 0)
-	for _, ev := range sorted {
-		rec := []string{
-			strconv.FormatFloat(ev.At.Sub(epoch).Seconds(), 'f', 6, 64),
-			string(ev.Kind),
-			strconv.Itoa(ev.Instance),
-			strconv.Itoa(ev.Host),
-			strconv.Itoa(ev.State),
-			strconv.FormatFloat(ev.Value, 'g', -1, 64),
-			ev.Group,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("fleet: trace csv: %w", err)
-	}
-	return nil
+	return csvcol.Write(w, traceCols, sorted)
 }

@@ -156,9 +156,6 @@ func (m *Monitor) Count() uint64 {
 // Target returns the registered heart-rate target.
 func (m *Monitor) Target() Target { return m.target }
 
-// Window returns the sliding-window length in beats.
-func (m *Monitor) Window() int { return m.window }
-
 // WindowRate returns the heart rate over the sliding window: the inverse
 // of the mean of the last min(window, count-1) beat intervals. It returns
 // 0 until two beats have been observed, and +0 is also returned if the

@@ -165,9 +165,6 @@ func (t *Tracer) allocBit(name string) int {
 // first call sets the boundary.
 func (t *Tracer) FirstHeartbeat() { t.beaten = true }
 
-// Beaten reports whether the first heartbeat has been emitted.
-func (t *Tracer) Beaten() bool { return t.beaten }
-
 func (t *Tracer) state(name string) *varState {
 	vs, ok := t.vars[name]
 	if !ok {

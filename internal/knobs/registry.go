@@ -60,16 +60,6 @@ func (r *Registry) RegisterVar(name string, write func(Value)) error {
 	return nil
 }
 
-// Vars returns the registered control-variable names in registration
-// order.
-func (r *Registry) Vars() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.names))
-	copy(out, r.names)
-	return out
-}
-
 // Record stores the values of all control variables observed for the
 // given setting during an instrumented (identification) run. Every
 // registered variable must be covered: the paper's consistency check

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -470,16 +469,4 @@ func (r *Result) MetricIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// CellsSorted returns the aggregate rows sorted by the given metric's
-// mean, ascending — a convenience for reporting the best/worst cells.
-func (r *Result) CellsSorted(metric string) []Aggregate {
-	mi := r.MetricIndex(metric)
-	out := append([]Aggregate(nil), r.Aggregates...)
-	if mi < 0 {
-		return out
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Mean[mi] < out[j].Mean[mi] })
-	return out
 }

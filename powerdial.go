@@ -29,7 +29,6 @@
 package powerdial
 
 import (
-	"io"
 	"time"
 
 	"repro/internal/calibrate"
@@ -232,12 +231,6 @@ func NewClusterOracle(machines, coresPerMachine int, profile *Profile, power Pow
 // instances.
 func NewFleetScenario(sc FleetScenario) (*Fleet, error) { return fleet.NewScenario(sc) }
 
-// WriteFleetTraceCSV writes a fleet event-time trace as CSV, in the
-// canonical sorted order.
-func WriteFleetTraceCSV(w io.Writer, events []FleetTraceEvent) error {
-	return fleet.WriteTraceCSV(w, events)
-}
-
 // NewSyntheticApp builds the analytically exact synthetic workload used
 // by fleet tests and demos.
 func NewSyntheticApp(opts SyntheticOptions) App { return fleet.NewSynthetic(opts) }
@@ -249,22 +242,10 @@ func ReplayFleet(sup *Fleet, cfg FleetReplayConfig) (*FleetReplayResult, error) 
 	return fleet.Replay(sup, cfg)
 }
 
-// WriteFleetReplayCSV writes replay points as the documented
-// per-quantum consolidation CSV (docs/TRACE_FORMAT.md).
-func WriteFleetReplayCSV(w io.Writer, points []FleetReplayPoint) error {
-	return fleet.WriteReplayCSV(w, points)
-}
-
 // Fig8Rates synthesizes the paper's Sec. 5.5 spiky consolidation trace
 // as an arrival-rate series.
 func Fig8Rates(rounds int, peak float64, seed int64) []float64 {
 	return fleet.Fig8Rates(rounds, peak, seed)
-}
-
-// WriteFleetResilienceCSV writes a faulted run's per-fault recovery
-// accounting as CSV (docs/TRACE_FORMAT.md).
-func WriteFleetResilienceCSV(w io.Writer, res *FleetResilience) error {
-	return fleet.WriteResilienceCSV(w, res)
 }
 
 // PredictClusterMix composes per-group M/G/1 stations into the
