@@ -83,15 +83,15 @@ func main() {
 			event = "budget cap to 380 W lands mid-quantum"
 		case 20:
 			// Load is leaving: drain two instances gracefully.
-			sup.Drain(insts[0])
-			sup.Drain(insts[2])
+			sup.DrainAt(sup.Now(), insts[0])
+			sup.DrainAt(sup.Now(), insts[2])
 			event = "draining instances 0 and 2"
 		case 26:
 			// Rebalance the survivors: the drain left machine 0 with two
 			// residents and machine 1 with four, so move one back.
 			for _, inst := range sup.Active() {
 				if inst.HostIndex() == 1 {
-					if err := sup.Migrate(inst, 0); err != nil {
+					if err := sup.MigrateAt(sup.Now(), inst, 0); err != nil {
 						log.Fatal(err)
 					}
 					event = fmt.Sprintf("migrating instance %d to machine 0", inst.ID())

@@ -407,7 +407,7 @@ func (s *Supervisor) applyGroupAutoscale(rs RoundStats, gi int, entry scalerEntr
 	s.record(TraceEvent{At: s.Now(), Kind: TraceScale, Instance: -1, Host: -1, State: -1, Value: float64(desired), Group: g.name})
 	at := s.Now().Add(entry.delay)
 	for i := active; i < desired; i++ {
-		if _, err := s.StartAtIn(at, gi, -1); err != nil {
+		if _, err := s.StartAt(at, gi, -1); err != nil {
 			return err
 		}
 		s.scaleMoves++

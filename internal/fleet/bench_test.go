@@ -38,11 +38,7 @@ func benchFleet(b *testing.B, prof *calibrate.Profile, gen *LoadGen, rounds int)
 			// pool has its own series (BenchmarkFleetScale).
 			Workers: 1,
 		}, newSlowApp, prof)
-		for j := 0; j < 8; j++ {
-			if _, err := sup.StartInstance(-1); err != nil {
-				b.Fatal(err)
-			}
-		}
+		startN(b, sup, 8)
 		if err := sup.Run(gen, rounds); err != nil {
 			b.Fatal(err)
 		}
@@ -76,11 +72,7 @@ func scaleFleet(tb testing.TB, prof *calibrate.Profile, hosts, workers int) (*Su
 		Budget:          float64(hosts) * 190,
 		Workers:         workers,
 	}, newSlowApp, prof)
-	for j := 0; j < hosts; j++ {
-		if _, err := sup.StartInstance(-1); err != nil {
-			tb.Fatal(err)
-		}
-	}
+	startN(tb, sup, hosts)
 	return sup, NewSaturatingLoad(2)
 }
 
@@ -176,11 +168,7 @@ func fluidScaleFleet(tb testing.TB, prof *calibrate.Profile, hosts, fluid int) (
 		SplitDispatch:   true,
 		Fluid:           fluid,
 	}, newSlowApp, prof)
-	for j := 0; j < hosts; j++ {
-		if _, err := sup.StartInstance(-1); err != nil {
-			tb.Fatal(err)
-		}
-	}
+	startN(tb, sup, hosts)
 	// ~0.9 rho per host at the 0.25 s work-item service time.
 	gen := NewConstantLoad(17, 3.6*float64(hosts)).WithRequestIters(10)
 	if err := sup.Run(gen, 8); err != nil {

@@ -46,8 +46,6 @@ import (
 // per-host shards window by window between global-event barriers in
 // deterministic virtual-time order, and closes the round.
 func (s *Supervisor) stepSharded(gen *LoadGen) (RoundStats, error) {
-	s.retireDone()
-	s.drainsValid = false // drains and retirements land between rounds too
 	start := s.Now()
 	end := start.Add(s.cfg.Quantum)
 
@@ -424,9 +422,9 @@ func (s *Supervisor) runUntilRetire(drains []*shard, barrier time.Time) (time.Ti
 
 // drainingShards returns the shards hosting a live draining instance,
 // in host-index order, marked excluded for runParallel. Draining only
-// begins at place and fault landings or round boundaries and ends at
-// retirements, so the answer is cached and recomputed only after one
-// of those (drainsValid) — an arrival barrier does not rescan the fleet.
+// begins at place and fault landings and ends at retirements, so the
+// answer is cached and recomputed only after one of those (drainsValid)
+// — neither an arrival barrier nor a round boundary rescans the fleet.
 func (s *Supervisor) drainingShards() []*shard {
 	if !s.drainsValid {
 		for _, sh := range s.drainScratch {

@@ -243,15 +243,6 @@ func (s *Supervisor) serve(now time.Time, inst *Instance, sink engineSink) error
 	}
 	c = inst.clk.Now()
 	if done {
-		if inst.sess.Drained() {
-			// The runtime is winding down (hard stop): park until the
-			// boundary sweep retires the instance.
-			inst.aborted++
-			inst.endSession(inst.cur)
-			inst.freeRequest(inst.cur)
-			inst.sess, inst.cur = nil, nil
-			return nil
-		}
 		if !c.After(inst.sessStart) {
 			return fmt.Errorf("fleet: request on instance %d completed without advancing virtual time (zero-cost stream?)", inst.id)
 		}

@@ -170,9 +170,9 @@ func TestEventFleetDeterministic(t *testing.T) {
 		for r := 0; r < 20; r++ {
 			switch r {
 			case 8:
-				sup.Drain(insts[0])
+				sup.DrainAt(sup.Now(), insts[0])
 			case 12:
-				if err := sup.Migrate(insts[1], 1-insts[1].HostIndex()); err != nil {
+				if err := sup.MigrateAt(sup.Now(), insts[1], 1-insts[1].HostIndex()); err != nil {
 					t.Fatal(err)
 				}
 			}

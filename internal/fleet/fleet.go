@@ -3,14 +3,14 @@
 // across M simulated machines, with a global power-budget arbiter that
 // re-divides a cluster-wide cap across the machines, a load generator
 // feeding per-instance request queues, and live placement — instances
-// start, drain, stop, and migrate between machines mid-run, either
-// synchronously between rounds or as scheduled placement events
-// (StartAt, DrainAt, StopAt, MigrateAt) that land at arbitrary virtual
-// instants exactly like power caps do, re-arbitrating the budget the
-// moment they land. An attachable Autoscaler (Autoscale) closes the
-// provisioning loop: it watches queue depth and latency percentiles
-// against an SLO and issues those placement events itself, which is how
-// the Fig. 8 consolidation replay (Replay) drives the fleet.
+// start, drain, stop, and migrate between machines mid-run as scheduled
+// placement events (StartAt, DrainAt, StopAt, MigrateAt) that land at
+// arbitrary virtual instants exactly like power caps (SetBudgetAt) do,
+// re-arbitrating the budget the moment they land. An attachable
+// Autoscaler (Autoscale) closes the provisioning loop: it watches queue
+// depth and latency percentiles against an SLO and issues those
+// placement events itself, which is how the Fig. 8 consolidation replay
+// (Replay) drives the fleet.
 //
 // Time is event-driven: a deterministic discrete-event scheduler over
 // virtual time drives the fleet from a seeded event queue — request
@@ -127,19 +127,6 @@ func (h *Host) Residents() []*Instance {
 // Energy returns the joules the host has consumed so far.
 func (h *Host) Energy() float64 { return h.energy }
 
-// Down reports whether the host is inside a crash-fault outage.
-func (h *Host) Down() bool { return h.down }
-
-// GroupResidents returns the host's resident count per workload group
-// (groups with no resident are omitted).
-func (h *Host) GroupResidents() map[string]int {
-	out := make(map[string]int)
-	for _, inst := range h.residents {
-		out[inst.grp.name]++
-	}
-	return out
-}
-
 // groupCounts refreshes the host's scratch per-group resident counts —
 // the pressure vector the interference model sees.
 func (h *Host) groupCounts() []int {
@@ -217,7 +204,6 @@ type Instance struct {
 	accepting bool
 	pending   bool // created by StartAt; not placed until the event lands
 	draining  bool
-	stopping  bool
 	retired   bool
 	scheduled bool // a serve event is in the queue
 	selfFeed  bool // saturating load: refill the queue mid-quantum
@@ -275,10 +261,6 @@ func (inst *Instance) ID() int { return inst.id }
 // (its Scenario.Groups entry's Name).
 func (inst *Instance) Group() string { return inst.grp.name }
 
-// GroupIndex returns the instance's group position in the scenario's
-// declaration order.
-func (inst *Instance) GroupIndex() int { return inst.grp.index }
-
 // HostIndex returns the index of the machine the instance runs on, or -1
 // after retirement.
 func (inst *Instance) HostIndex() int {
@@ -296,12 +278,6 @@ func (inst *Instance) QueueDepth() int {
 	}
 	return d
 }
-
-// Completed returns the number of requests served to completion.
-func (inst *Instance) Completed() int { return inst.completed }
-
-// Retired reports whether the instance has left the fleet.
-func (inst *Instance) Retired() bool { return inst.retired }
 
 // Snapshot captures the instance's control state (thread-safe).
 func (inst *Instance) Snapshot() core.Snapshot { return inst.rt.Snapshot() }
@@ -511,7 +487,9 @@ func (s *Supervisor) dueCaps(cutoff time.Time) []capChange {
 }
 
 // Supervisor owns the fleet. It is not itself safe for concurrent use:
-// one goroutine drives Step/Run and the placement methods; inside a
+// one goroutine drives Step/Run and schedules every change to the
+// running fleet (SetBudgetAt, StartAt, DrainAt, StopAt, MigrateAt) as an
+// event on its timeline; inside a
 // round the supervisor is the coordinator, fanning shards out to the
 // worker pool between barriers (coordinator.go).
 type Supervisor struct {
@@ -573,9 +551,9 @@ type Supervisor struct {
 	// workScratch and drainScratch are the coordinator's shard lists
 	// (coordinator.go), retained across windows so the thousand-host
 	// window loop allocates nothing. drainScratch doubles as the cached
-	// drain set: it stays valid (drainsValid) until a round boundary, a
-	// place or fault landing, or a retirement — the only points where
-	// the set can change — so an arrival barrier pays O(1) for it.
+	// drain set: it stays valid (drainsValid) until a place or fault
+	// landing or a retirement — the only points where the set can
+	// change — so an arrival barrier pays O(1) for it.
 	workScratch  []*shard
 	drainScratch []*shard
 	drainsValid  bool
@@ -685,10 +663,6 @@ func (s *Supervisor) Active() []*Instance {
 	return out
 }
 
-// SetBudget changes the cluster-wide power cap (watts, <= 0 =
-// unlimited); the arbiter honors it from the next arbiter tick.
-func (s *Supervisor) SetBudget(watts float64) { s.arb.SetBudget(watts) }
-
 // SetBudgetAt schedules a cluster-budget change to land at virtual time
 // at — the paper's cpufrequtils cap arriving mid-quantum. The change is
 // a cap event: it takes effect at that instant and triggers an
@@ -700,10 +674,19 @@ func (s *Supervisor) SetBudgetAt(at time.Time, watts float64) {
 // Budget returns the current cluster-wide cap.
 func (s *Supervisor) Budget() float64 { return s.arb.Budget() }
 
-// newInstance builds an unplaced instance of the given group whose
-// virtual clock starts at the given instant. The caller places it
-// (landStart) or schedules its placement (StartAt).
-func (s *Supervisor) newInstance(g *group, at time.Time) (*Instance, error) {
+// newInstance builds an unplaced instance of the given group (an index
+// into the scenario's declaration order) bound for the given machine
+// (host < 0 = fewest residents), its virtual clock starting at the
+// given instant. The caller places it (startInstance) or schedules its
+// placement (StartAt).
+func (s *Supervisor) newInstance(group, host int, at time.Time) (*Instance, error) {
+	if group < 0 || group >= len(s.groups) {
+		return nil, fmt.Errorf("fleet: group %d out of range [0,%d]", group, len(s.groups)-1)
+	}
+	if host >= len(s.hosts) {
+		return nil, fmt.Errorf("fleet: host %d out of range [0,%d]", host, len(s.hosts)-1)
+	}
+	g := s.groups[group]
 	app, err := g.newApp()
 	if err != nil {
 		return nil, err
@@ -795,25 +778,11 @@ func (s *Supervisor) landStart(inst *Instance, host int, at time.Time) {
 	s.record(TraceEvent{At: at, Kind: TraceStart, Instance: inst.id, Host: host, State: -1, Group: inst.grp.name})
 }
 
-// StartInstance creates a controlled application instance of the first
-// workload group on the given machine (host < 0 places it on the
-// machine with the fewest residents). The instance begins serving at
-// the next quantum.
-func (s *Supervisor) StartInstance(host int) (*Instance, error) {
-	return s.StartInstanceIn(0, host)
-}
-
-// StartInstanceIn creates an instance of the given workload group (an
-// index into the scenario's declaration order) on the given machine
-// (host < 0 = fewest residents).
-func (s *Supervisor) StartInstanceIn(group, host int) (*Instance, error) {
-	if group < 0 || group >= len(s.groups) {
-		return nil, fmt.Errorf("fleet: group %d out of range [0,%d]", group, len(s.groups)-1)
-	}
-	if host >= len(s.hosts) {
-		return nil, fmt.Errorf("fleet: host %d out of range [0,%d]", host, len(s.hosts)-1)
-	}
-	inst, err := s.newInstance(s.groups[group], s.Now())
+// startInstance places a new instance of the given group on the given
+// machine at the current quantum boundary: the construction landing
+// NewScenario gives a group's initial instances.
+func (s *Supervisor) startInstance(group, host int) (*Instance, error) {
+	inst, err := s.newInstance(group, host, s.Now())
 	if err != nil {
 		return nil, err
 	}
@@ -821,32 +790,19 @@ func (s *Supervisor) StartInstanceIn(group, host int) (*Instance, error) {
 	return inst, nil
 }
 
-// StartAt schedules a new instance to join the given machine (host < 0 =
-// fewest residents, resolved at landing) at virtual time at. The start
-// is a placement event: the instance lands at that exact instant —
-// mid-quantum included — the cluster budget is re-arbitrated
-// immediately, and requests queued fleet-wide are offered to it from
+// StartAt schedules a new instance of the given workload group (an index
+// into the scenario's declaration order) to join the given machine
+// (host < 0 = fewest residents, resolved at landing) at virtual time at.
+// The start is a placement event: the instance lands at that exact
+// instant — mid-quantum included — the cluster budget is re-arbitrated
+// immediately, and requests queued for its group are offered to it from
 // that instant on. Under a saturating load the new instance begins
 // self-feeding at the next round seed. The returned instance is
 // constructed eagerly (so the call reports errors synchronously and
 // determinism is preserved) but stays unplaced, off every machine,
-// until the event lands. The instance belongs to the first workload
-// group; StartAtIn selects another.
-func (s *Supervisor) StartAt(at time.Time, host int) (*Instance, error) {
-	return s.StartAtIn(at, 0, host)
-}
-
-// StartAtIn schedules a new instance of the given workload group (an
-// index into the scenario's declaration order) to join the given
-// machine at virtual time at, with StartAt's landing semantics.
-func (s *Supervisor) StartAtIn(at time.Time, group, host int) (*Instance, error) {
-	if group < 0 || group >= len(s.groups) {
-		return nil, fmt.Errorf("fleet: group %d out of range [0,%d]", group, len(s.groups)-1)
-	}
-	if host >= len(s.hosts) {
-		return nil, fmt.Errorf("fleet: host %d out of range [0,%d]", host, len(s.hosts)-1)
-	}
-	inst, err := s.newInstance(s.groups[group], at)
+// until the event lands.
+func (s *Supervisor) StartAt(at time.Time, group, host int) (*Instance, error) {
+	inst, err := s.newInstance(group, host, at)
 	if err != nil {
 		return nil, err
 	}
@@ -881,39 +837,10 @@ func (s *Supervisor) MigrateAt(at time.Time, inst *Instance, to int) error {
 	if to < 0 || to >= len(s.hosts) {
 		return fmt.Errorf("fleet: host %d out of range [0,%d]", to, len(s.hosts)-1)
 	}
-	s.places = append(s.places, placeChange{at: at, op: placeMigrate, inst: inst, host: to})
-	return nil
-}
-
-// Drain gracefully retires an instance: it accepts no new requests,
-// finishes its queue, and leaves its machine once idle: the retirement
-// lands at the exact virtual instant the queue empties.
-func (s *Supervisor) Drain(inst *Instance) {
-	inst.accepting = false
-	inst.draining = true
-}
-
-// Stop hard-stops an instance: its in-flight request is aborted at the
-// next beat boundary (via the runtime's drain hook) and its queued
-// requests are redistributed to the remaining instances.
-func (s *Supervisor) Stop(inst *Instance) {
-	inst.accepting = false
-	inst.stopping = true
-	inst.rt.Drain()
-}
-
-// Migrate moves an instance to another machine. The instance suffers
-// the configured migration downtime, during which it serves nothing and
-// its heart rate sags — the controller then works the backlog off, the
-// live form of the paper's load-rebalancing events.
-func (s *Supervisor) Migrate(inst *Instance, to int) error {
-	if to < 0 || to >= len(s.hosts) {
-		return fmt.Errorf("fleet: host %d out of range [0,%d]", to, len(s.hosts)-1)
-	}
 	if inst.retired {
 		return fmt.Errorf("fleet: instance %d is retired", inst.id)
 	}
-	s.landPlace(s.Now(), placeChange{at: s.Now(), op: placeMigrate, inst: inst, host: to})
+	s.places = append(s.places, placeChange{at: at, op: placeMigrate, inst: inst, host: to})
 	return nil
 }
 
@@ -928,19 +855,12 @@ func (s *Supervisor) landPlace(at time.Time, p placeChange) bool {
 		if inst.retired || !inst.pending {
 			return false
 		}
-		if inst.draining || inst.stopping {
-			// Drained or stopped before the start landed: cancel the
-			// start instead of resurrecting the instance.
-			inst.pending = false
-			inst.retired = true
-			return false
-		}
 		host := s.resolveHost(p.host)
 		s.closeSegment(s.hosts[host], at)
 		s.landStart(inst, host, at)
 		return true
 	case placeDrain:
-		if inst.retired || inst.draining || inst.stopping {
+		if inst.retired || inst.draining {
 			return false
 		}
 		if inst.pending {
@@ -960,12 +880,33 @@ func (s *Supervisor) landPlace(at time.Time, p placeChange) bool {
 		if inst.retired {
 			return false
 		}
+		// The in-flight session aborts (the runtime's drain flag
+		// guarantees it cannot advance even if stepped again) and the
+		// backlog joins the shared pending queue. A fluid instance
+		// renders its flow up to the stop and leaves the fluid timeline
+		// first, so that backlog is exact.
 		inst.accepting = false
-		inst.stopping = true
 		inst.rt.Drain()
-		// The instance's own abort counter books the abandoned request:
-		// a mid-round landing is drained at this round's close.
-		s.retireStopped(inst, at, true)
+		s.forceExitFluid(inst, at, false)
+		if inst.sess != nil {
+			inst.sess.Abort()
+			inst.aborted++ // drained into the round's counters at its close
+			inst.endSession(inst.cur)
+			inst.freeRequest(inst.cur)
+			inst.sess, inst.cur = nil, nil
+		}
+		s.pending = append(s.pending, inst.queue...)
+		inst.queue = nil
+		hostIdx := -1
+		if h := inst.host; h != nil {
+			hostIdx = h.index
+			s.closeSegment(h, at)
+			h.removeResident(inst)
+			inst.host = nil
+		}
+		inst.pending = false
+		inst.retired = true
+		s.record(TraceEvent{At: at, Kind: TraceRetire, Instance: inst.id, Host: hostIdx, State: -1, Group: inst.grp.name})
 		return true
 	case placeMigrate:
 		if inst.retired || inst.pending || inst.host == s.hosts[p.host] {
@@ -986,74 +927,6 @@ func (s *Supervisor) landPlace(at time.Time, p placeChange) bool {
 		return true
 	}
 	return false
-}
-
-// retireStopped finalizes a hard stop at virtual time at: the in-flight
-// session is aborted (preempted at its beat boundary; the runtime's
-// drain flag guarantees it cannot advance even if stepped again), the
-// backlog is redistributed to the shared pending queue, and the
-// instance leaves its machine. creditInstance selects which abort
-// counter books the abandoned request: the instance's own (drained at
-// this round's close — the mid-round event path) or the supervisor's
-// (the boundary sweep, whose instance counters were already drained
-// last quantum).
-func (s *Supervisor) retireStopped(inst *Instance, at time.Time, creditInstance bool) {
-	// A fluid instance renders its flow up to the stop and leaves the
-	// fluid timeline first, so the redistributed backlog is exact.
-	s.forceExitFluid(inst, at, false)
-	if inst.sess != nil {
-		inst.sess.Abort()
-		if creditInstance {
-			inst.aborted++
-		} else {
-			s.aborted++
-		}
-		inst.endSession(inst.cur)
-		inst.freeRequest(inst.cur)
-		inst.sess, inst.cur = nil, nil
-	}
-	s.pending = append(s.pending, inst.queue...)
-	inst.queue = nil
-	hostIdx := -1
-	if h := inst.host; h != nil {
-		hostIdx = h.index
-		// At a quantum boundary this segment is already closed (zero
-		// length); mid-round it books the pre-stop power.
-		s.closeSegment(h, at)
-		h.removeResident(inst)
-		inst.host = nil
-	}
-	inst.pending = false
-	inst.retired = true
-	s.record(TraceEvent{At: at, Kind: TraceRetire, Instance: inst.id, Host: hostIdx, State: -1, Group: inst.grp.name})
-}
-
-// retireDone removes finished instances from their machines: stopped
-// ones immediately (requeuing their backlog), draining ones once idle.
-// Drained instances also retire mid-round, at the instant their queue
-// empties; this boundary sweep covers instances that were already idle
-// when drained.
-func (s *Supervisor) retireDone() {
-	for _, inst := range s.insts {
-		if inst.retired {
-			continue
-		}
-		if inst.stopping {
-			s.retireStopped(inst, s.Now(), false)
-			continue
-		}
-		if inst.draining && inst.sess == nil && len(inst.queue) == 0 {
-			host := -1
-			if inst.host != nil {
-				host = inst.host.index
-				inst.host.removeResident(inst)
-				inst.host = nil
-			}
-			inst.pending = false
-			inst.retired = true
-			s.record(TraceEvent{At: s.Now(), Kind: TraceRetire, Instance: inst.id, Host: host, State: -1, Group: inst.grp.name})
-		}
-	}
 }
 
 // eligible reports whether the instance can take new work: accepting,

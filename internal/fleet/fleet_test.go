@@ -43,13 +43,13 @@ func newTestFleet(t *testing.T, machines, cores int, budget float64) *Supervisor
 	return newOneGroup(t, Scenario{Machines: machines, CoresPerMachine: cores, Budget: budget}, newSlowApp, syntheticProfile(t))
 }
 
-func startN(t *testing.T, sup *Supervisor, n int) []*Instance {
-	t.Helper()
+func startN(tb testing.TB, sup *Supervisor, n int) []*Instance {
+	tb.Helper()
 	out := make([]*Instance, n)
 	for i := range out {
-		inst, err := sup.StartInstance(-1)
+		inst, err := sup.startInstance(0, -1)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		out[i] = inst
 	}
@@ -234,7 +234,7 @@ func TestFleetBudgetCapsPower(t *testing.T) {
 			t.Errorf("instance %d normalized perf under cap = %.3f, want ~1", inst.ID(), perf)
 		}
 	}
-	sup.SetBudget(0) // lift the cap
+	sup.SetBudgetAt(sup.Now(), 0) // lift the cap
 	if err := sup.Run(NewSaturatingLoad(2), 3); err != nil {
 		t.Fatal(err)
 	}
@@ -312,15 +312,18 @@ func TestFleetPlacement(t *testing.T) {
 	}
 
 	// Drain: finishes its queue, then leaves its machine.
-	sup.Drain(insts[0])
-	if err := sup.Run(NewConstantLoad(12, 2), 8); err != nil {
+	sup.DrainAt(sup.Now(), insts[0])
+	if err := sup.Run(NewConstantLoad(12, 6), 8); err != nil {
 		t.Fatal(err)
 	}
-	if !insts[0].Retired() {
+	if !insts[0].retired {
 		t.Errorf("drained instance still active after 8 quanta (queue %d)", insts[0].QueueDepth())
 	}
 	if insts[0].HostIndex() != -1 {
 		t.Errorf("retired instance still placed on host %d", insts[0].HostIndex())
+	}
+	if err := sup.MigrateAt(sup.Now(), insts[0], 1); err == nil {
+		t.Error("want error migrating a retired instance")
 	}
 
 	// Stop: hard removal; queued requests must not be lost. Total work
@@ -333,13 +336,13 @@ func TestFleetPlacement(t *testing.T) {
 	for _, inst := range sup.Active() {
 		beforeTotal += inst.QueueDepth()
 	}
-	sup.Stop(insts[1])
+	sup.StopAt(sup.Now(), insts[1])
 	rs, err := sup.Step(NewConstantLoad(13, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !insts[1].Retired() {
-		t.Error("stopped instance not retired at next quantum")
+	if !insts[1].retired {
+		t.Error("stopped instance not retired at the stop landing")
 	}
 	var depth int
 	for _, inst := range sup.Active() {
@@ -354,14 +357,14 @@ func TestFleetPlacement(t *testing.T) {
 	// then converges back to target.
 	from := insts[2].HostIndex()
 	to := 1 - from
-	if err := sup.Migrate(insts[2], to); err != nil {
+	if err := sup.MigrateAt(sup.Now(), insts[2], to); err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Run(NewSaturatingLoad(2), 12); err != nil {
 		t.Fatal(err)
 	}
 	if insts[2].HostIndex() != to {
 		t.Fatalf("migrated instance on host %d, want %d", insts[2].HostIndex(), to)
-	}
-	if err := sup.Run(NewSaturatingLoad(2), 12); err != nil {
-		t.Fatal(err)
 	}
 	if perf := insts[2].Snapshot().NormPerf; math.Abs(perf-1) > 0.07 {
 		t.Errorf("migrated instance normalized perf = %.3f, want ~1 after recovery", perf)
@@ -447,14 +450,14 @@ func TestFleetConfigValidation(t *testing.T) {
 		t.Error("want error for missing NewApp/Profile")
 	}
 	sup := newTestFleet(t, 1, 1, 0)
-	if _, err := sup.StartInstance(5); err == nil {
+	if _, err := sup.StartAt(sup.Now(), 0, 5); err == nil {
 		t.Error("want error for out-of-range host")
 	}
-	inst, err := sup.StartInstance(0)
+	inst, err := sup.StartAt(sup.Now(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.Migrate(inst, 9); err == nil {
+	if err := sup.MigrateAt(sup.Now(), inst, 9); err == nil {
 		t.Error("want error migrating to out-of-range host")
 	}
 }

@@ -96,14 +96,14 @@ func (s *Supervisor) fluidExitDepth() int {
 
 // maybeEnterFluid moves an instance onto the fluid timeline if the
 // entry conditions hold: fluid mode on, a deep enough queue, a usable
-// service estimate, and a steady instance (not draining, stopping,
-// self-feeding, or on a downed host). Called from serve at a request
-// completion — the only point where the estimate was just refreshed.
+// service estimate, and a steady instance (not draining, self-feeding,
+// or on a downed host). Called from serve at a request completion — the
+// only point where the estimate was just refreshed.
 // Returns true when the instance entered (the caller must then NOT
 // schedule a discrete continuation).
 func (s *Supervisor) maybeEnterFluid(inst *Instance, now time.Time, sink engineSink) bool {
 	if s.cfg.Fluid <= 0 || inst.fluid || !inst.svcOK || inst.selfFeed ||
-		inst.draining || inst.stopping || len(inst.queue) < s.cfg.Fluid {
+		inst.draining || len(inst.queue) < s.cfg.Fluid {
 		return false
 	}
 	if h := inst.host; h == nil || h.down {

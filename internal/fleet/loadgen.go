@@ -151,9 +151,6 @@ func (g *LoadGen) WithRequestIters(n int) *LoadGen {
 	return g
 }
 
-// RequestIters returns the per-request iteration cap (0 = whole stream).
-func (g *LoadGen) RequestIters() int { return g.reqIters }
-
 // Saturating returns the target queue depth of a saturating generator
 // (ok=false for open-loop generators).
 func (g *LoadGen) Saturating() (depth int, ok bool) {

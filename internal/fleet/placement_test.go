@@ -58,7 +58,7 @@ func TestDrainEventLandsMidQuantum(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !insts[0].Retired() {
+	if !insts[0].retired {
 		t.Fatal("idle drained instance not retired")
 	}
 	other := sup.hosts[insts[1].HostIndex()]
@@ -109,7 +109,7 @@ func TestStartAtLandsMidQuantum(t *testing.T) {
 		RecordTrace:     true,
 	}, newSlowApp, syntheticProfile(t))
 	startAt := time.Unix(0, 0).Add(500 * time.Millisecond)
-	inst, err := sup.StartAt(startAt, -1)
+	inst, err := sup.StartAt(startAt, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestStartAtLandsMidQuantum(t *testing.T) {
 	if inst.HostIndex() != 0 {
 		t.Fatalf("instance on host %d after landing, want 0", inst.HostIndex())
 	}
-	if inst.Completed()+len(inst.allLats) == 0 {
+	if inst.completed+len(inst.allLats) == 0 {
 		t.Error("instance completed nothing despite offered load")
 	}
 	var startSeen bool
@@ -163,7 +163,7 @@ func TestEventPlacementDeterministic(t *testing.T) {
 		insts := startN(t, sup, 4)
 		gen := NewSpikeLoad(7, 4, 16, 8, 2).WithRequestIters(10)
 		sup.SetBudgetAt(time.Unix(2, 0).Add(250*time.Millisecond), 420)
-		if _, err := sup.StartAt(time.Unix(3, 0).Add(400*time.Millisecond), -1); err != nil {
+		if _, err := sup.StartAt(time.Unix(3, 0).Add(400*time.Millisecond), 0, -1); err != nil {
 			t.Fatal(err)
 		}
 		if err := sup.MigrateAt(time.Unix(5, 0).Add(700*time.Millisecond), insts[1], 1-insts[1].HostIndex()); err != nil {
@@ -234,21 +234,21 @@ func TestMigrateAtRecoversTarget(t *testing.T) {
 func TestDrainCancelsPendingStart(t *testing.T) {
 	sup := newTestFleet(t, 1, 1, 0)
 	startN(t, sup, 1)
-	inst, err := sup.StartAt(time.Unix(2, 0).Add(300*time.Millisecond), -1)
+	inst, err := sup.StartAt(time.Unix(2, 0).Add(300*time.Millisecond), 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup.Drain(inst) // before the start lands
+	sup.DrainAt(sup.Now(), inst) // before the start lands
 	if err := sup.Run(NewConstantLoad(3, 2), 5); err != nil {
 		t.Fatal(err)
 	}
-	if !inst.Retired() {
+	if !inst.retired {
 		t.Error("pre-drained pending instance not retired")
 	}
 	if inst.HostIndex() != -1 {
 		t.Errorf("cancelled start still placed the instance on host %d", inst.HostIndex())
 	}
-	if inst.Completed() > 0 {
-		t.Errorf("cancelled instance served %d requests", inst.Completed())
+	if inst.completed > 0 {
+		t.Errorf("cancelled instance served %d requests", inst.completed)
 	}
 }

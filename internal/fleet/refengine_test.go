@@ -78,7 +78,6 @@ func (e *refEngine) drainAllFluid(u time.Time) {
 // Step is Supervisor.Step with the round loop swapped for the heap.
 func (e *refEngine) Step(gen *LoadGen) (RoundStats, error) {
 	s := e.s
-	s.retireDone()
 	start := s.Now()
 	end := start.Add(s.cfg.Quantum)
 	arrivals, acc := s.seedRound(gen, start, end, e.push, e.activate)

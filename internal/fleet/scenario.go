@@ -40,8 +40,8 @@ type WorkloadGroup struct {
 	Profile *calibrate.Profile
 	// Instances is the group's initial instance count (>= 0); they are
 	// placed on the least-loaded machines at construction, groups in
-	// declaration order. More can join later (StartInstanceIn,
-	// StartAtIn, or a per-group autoscaler).
+	// declaration order. More can join later (StartAt, or a per-group
+	// autoscaler).
 	Instances int
 	// Target is the group's per-instance heart-rate goal. Zero means
 	// the paper's convention: the baseline heart rate of one instance
@@ -315,7 +315,7 @@ func (r *resolvedScenario) instantiate(counts []int, gens []*LoadGen, faults *Fa
 	}
 	for gi, n := range counts {
 		for i := 0; i < n; i++ {
-			if _, err := s.StartInstanceIn(gi, -1); err != nil {
+			if _, err := s.startInstance(gi, -1); err != nil {
 				return nil, err
 			}
 		}
@@ -397,15 +397,4 @@ func (s *Supervisor) GroupNames() []string {
 		out[i] = g.name
 	}
 	return out
-}
-
-// GroupIndex resolves a group name to its index in the scenario's
-// declaration order (-1 when unknown).
-func (s *Supervisor) GroupIndex(name string) int {
-	for i, g := range s.groups {
-		if g.name == name {
-			return i
-		}
-	}
-	return -1
 }

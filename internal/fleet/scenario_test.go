@@ -69,7 +69,7 @@ func runScenarioDiff(t *testing.T, workers int, split bool) diffResult {
 
 	// The coupling edges, all at mid-window instants.
 	sup.SetBudgetAt(time.Unix(2, 0).Add(330*time.Millisecond), 8*175)
-	if _, err := sup.StartAtIn(time.Unix(3, 0).Add(400*time.Millisecond), 1, -1); err != nil {
+	if _, err := sup.StartAt(time.Unix(3, 0).Add(400*time.Millisecond), 1, -1); err != nil {
 		t.Fatal(err)
 	}
 	// Cross-group migration: move a fast instance onto the host of a
@@ -78,9 +78,9 @@ func runScenarioDiff(t *testing.T, workers int, split bool) diffResult {
 	var fast, slow *Instance
 	for _, inst := range insts {
 		switch {
-		case fast == nil && inst.GroupIndex() == 0:
+		case fast == nil && inst.grp.index == 0:
 			fast = inst
-		case slow == nil && inst.GroupIndex() == 1:
+		case slow == nil && inst.grp.index == 1:
 			slow = inst
 		}
 	}
@@ -379,32 +379,29 @@ func TestScenarioValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sup.StartInstanceIn(3, -1); err == nil {
+	if _, err := sup.StartAt(sup.Now(), 3, -1); err == nil {
 		t.Error("want error for out-of-range group")
 	}
-	if _, err := sup.StartAtIn(sup.Now(), -1, -1); err == nil {
+	if _, err := sup.StartAt(sup.Now(), -1, -1); err == nil {
 		t.Error("want error for negative group")
 	}
 	if err := sup.AutoscaleGroup(5, nil, 0); err == nil {
 		t.Error("want error autoscaling an unknown group")
 	}
-	if _, err := sup.StartInstance(5); err == nil {
+	if _, err := sup.StartAt(sup.Now(), 0, 5); err == nil {
 		t.Error("want error for out-of-range host")
 	}
-	inst, err := sup.StartInstance(0)
+	inst, err := sup.StartAt(sup.Now(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.Migrate(inst, 9); err == nil {
+	if err := sup.MigrateAt(sup.Now(), inst, 9); err == nil {
 		t.Error("want error migrating to out-of-range host")
 	}
 	if names := sup.GroupNames(); len(names) != 1 || names[0] != "g" {
 		t.Errorf("group names = %v, want [g]", names)
 	}
-	if sup.GroupIndex("g") != 0 || sup.GroupIndex("nope") != -1 {
-		t.Error("GroupIndex lookup broken")
-	}
-	if inst.Group() != "g" || inst.GroupIndex() != 0 {
-		t.Errorf("instance group = %q/%d, want g/0", inst.Group(), inst.GroupIndex())
+	if inst.Group() != "g" || inst.grp.index != 0 {
+		t.Errorf("instance group = %q/%d, want g/0", inst.Group(), inst.grp.index)
 	}
 }

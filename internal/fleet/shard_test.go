@@ -83,7 +83,7 @@ func snapshotDiff(sup *Supervisor) diffResult {
 		res.states = append(res.states, h.State())
 	}
 	for _, inst := range sup.Instances() {
-		res.insts = append(res.insts, instState{Host: inst.HostIndex(), Retired: inst.Retired(), Completed: len(inst.allLats)})
+		res.insts = append(res.insts, instState{Host: inst.HostIndex(), Retired: inst.retired, Completed: len(inst.allLats)})
 	}
 	SortTrace(res.trace)
 	return res
@@ -143,7 +143,7 @@ func newDiffScenario(t *testing.T, machines, instances, workers int, split bool)
 
 	// The coupling edges, all at mid-window instants.
 	sup.SetBudgetAt(time.Unix(2, 0).Add(330*time.Millisecond), float64(machines)*175)
-	if _, err := sup.StartAt(time.Unix(3, 0).Add(400*time.Millisecond), -1); err != nil {
+	if _, err := sup.StartAt(time.Unix(3, 0).Add(400*time.Millisecond), 0, -1); err != nil {
 		t.Fatal(err)
 	}
 	// Cross-shard migration: source and destination hosts are distinct
@@ -288,9 +288,9 @@ func runFaultDiffScenario(t *testing.T, workers int) diffResult {
 	var fast, slow *Instance
 	for _, inst := range sup.Instances() {
 		switch {
-		case fast == nil && inst.GroupIndex() == 0:
+		case fast == nil && inst.grp.index == 0:
 			fast = inst
-		case slow == nil && inst.GroupIndex() == 1:
+		case slow == nil && inst.grp.index == 1:
 			slow = inst
 		}
 	}

@@ -458,15 +458,3 @@ func aggregate(res *Result) []Aggregate {
 	}
 	return out
 }
-
-// MetricIndex resolves a metric name in the grid's canonical metric
-// order (-1 when unknown) — test and tooling sugar over the Aggregate
-// slices.
-func (r *Result) MetricIndex(name string) int {
-	for i, m := range metricsFor(r.Grid) {
-		if m.Name == name {
-			return i
-		}
-	}
-	return -1
-}
