@@ -288,7 +288,8 @@ func TestScheduleIdleRatio(t *testing.T) {
 		t.Fatalf("IdleRatio = %v, want 1 (equal idle and work time)", sch.IdleRatio())
 	}
 	aq, _ := NewActuator(profile(), MinQoS)
-	if got := BuildSchedule(aq.PlanFor(2), 20).IdleRatio(); got != 0 {
+	minQoS := BuildSchedule(aq.PlanFor(2), 20)
+	if got := minQoS.IdleRatio(); got != 0 {
 		t.Fatalf("min-QoS IdleRatio = %v, want 0", got)
 	}
 }

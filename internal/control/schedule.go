@@ -34,15 +34,15 @@ func BuildSchedule(plan Plan, beats int) Schedule {
 }
 
 // Beats returns the quantum length in beats.
-func (s Schedule) Beats() int { return s.beats }
+func (s *Schedule) Beats() int { return s.beats }
 
 // Plan returns the underlying plan.
-func (s Schedule) Plan() Plan { return s.plan }
+func (s *Schedule) Plan() Plan { return s.plan }
 
 // Setting returns the knob setting for beat i of the quantum (i counted
 // from 0; values beyond the quantum wrap, which keeps the pattern stable
 // if a plan is reused).
-func (s Schedule) Setting(i int) knobs.Setting {
+func (s *Schedule) Setting(i int) knobs.Setting {
 	i %= s.beats
 	// Bresenham interleave: beat i runs High when the accumulated share
 	// crosses an integer boundary.
@@ -57,7 +57,7 @@ func (s Schedule) Setting(i int) knobs.Setting {
 // plans (0 for plans without an idle share). The runtime idles each beat
 // for actualBeatDuration × IdleRatio, which realizes the plan's idle
 // fraction regardless of model error in b.
-func (s Schedule) IdleRatio() float64 {
+func (s *Schedule) IdleRatio() float64 {
 	work := s.plan.THigh + s.plan.TLow
 	if work <= 0 || s.plan.TIdle <= 0 {
 		return 0

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/control"
+	"repro/internal/heartbeats"
 	"repro/internal/workload"
 )
 
@@ -292,5 +295,185 @@ func TestSessionStepUntilHonorsVirtualDeadline(t *testing.T) {
 	}
 	if !done || sess.Drained() {
 		t.Errorf("resumed session: done=%v drained=%v, want done and not drained", done, sess.Drained())
+	}
+}
+
+// steadyRun is an endless run whose iterations all cost the same.
+type steadyRun struct{ cost float64 }
+
+func (r steadyRun) Step() (float64, bool) { return r.cost, true }
+func (steadyRun) Output() workload.Output { return nil }
+
+// steadyRuntime builds a runtime over the shared swaptions fixture and
+// opens a session on an endless run that costs costScale times the
+// application's baseline cost per beat, so the controller must move off
+// the baseline plan when costScale != 1.
+func steadyRuntime(t *testing.T, cfg RuntimeConfig, costScale float64) (*Runtime, *Session) {
+	t.Helper()
+	cfg.System = prepared(t)
+	cfg.Machine = testMachine(t)
+	cost, err := BaselineCostPerBeat(cfg.System.App, workload.Training)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.CostPerBeat = cost
+	rt, err := NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt, rt.StartSession(nil, steadyRun{cost: costScale * cost})
+}
+
+// stepN steps the session n times, failing on an error or an early end.
+func stepN(t *testing.T, sess *Session, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if done, err := sess.Step(); done || err != nil {
+			t.Fatalf("step %d: done=%v err=%v", i, done, err)
+		}
+	}
+}
+
+// TestScheduleKeptWhileSpeedupHeld runs a controller pinned at smax by
+// an unreachable target, so every quantum after the first commands the
+// same speedup and the runtime keeps its schedule instead of rebuilding
+// it. At every quantum boundary the schedule in use must equal one
+// built fresh from the commanded speedup.
+func TestScheduleKeptWhileSpeedupHeld(t *testing.T) {
+	var rt *Runtime
+	var boundaries, held int
+	prev := -1.0
+	hook := func(beats int) {
+		if beats%rt.quantum != 0 {
+			return
+		}
+		boundaries++
+		s := rt.ctl.Speedup()
+		if s == prev {
+			held++
+		}
+		prev = s
+		if want := control.BuildSchedule(rt.act.PlanFor(s), rt.quantum); !reflect.DeepEqual(rt.sch, want) {
+			t.Fatalf("beat %d: schedule in use %+v, fresh schedule for s=%v %+v", beats, rt.sch, s, want)
+		}
+	}
+	rt, sess := steadyRuntime(t, RuntimeConfig{
+		Target:   heartbeats.Target{Min: 1e12, Max: 1e12},
+		BeatHook: hook,
+	}, 1)
+	stepN(t, sess, 20*control.DefaultQuantumBeats)
+	if boundaries != 20 || held < 15 {
+		t.Fatalf("%d quantum boundaries, %d with the speedup held; want 20 and at least 15", boundaries, held)
+	}
+}
+
+// TestSnapshotGainConcurrentWithRecordedRun polls Snapshot, Gain and
+// CurrentPlanLoss from another goroutine while a recorded run crosses
+// many quantum boundaries with a moving plan. The beat count a reader
+// sees never decreases, and every gain it reads is one the trace
+// recorded: no read is torn or taken mid-update.
+func TestSnapshotGainConcurrentWithRecordedRun(t *testing.T) {
+	rt, sess := steadyRuntime(t, RuntimeConfig{Record: true}, 1.5)
+	stop := make(chan struct{})
+	type reading struct {
+		gains    []float64
+		backward bool
+	}
+	read := make(chan reading, 1)
+	go func() {
+		var r reading
+		last := 0
+		for {
+			snap := rt.Snapshot()
+			if snap.Beats < last {
+				r.backward = true
+			}
+			last = snap.Beats
+			r.gains = append(r.gains, snap.Gain, rt.Gain())
+			_ = rt.CurrentPlanLoss()
+			select {
+			case <-stop:
+				read <- r
+				return
+			default:
+			}
+		}
+	}()
+	stepN(t, sess, 50*control.DefaultQuantumBeats)
+	close(stop)
+	r := <-read
+	if r.backward {
+		t.Error("a reader saw the beat count decrease")
+	}
+	recorded := map[float64]bool{}
+	for _, p := range rt.Trace() {
+		recorded[p.Gain] = true
+	}
+	if len(recorded) < 2 {
+		t.Fatalf("trace holds %d distinct gains; the plan never moved", len(recorded))
+	}
+	for _, g := range r.gains {
+		if !recorded[g] {
+			t.Fatalf("a reader saw gain %v, which no recorded beat ran", g)
+		}
+	}
+}
+
+// TestDrainFromAnotherGoroutine drains a running session from a
+// goroutine other than the one stepping it (the stepping goroutine
+// waits in its beat hook until the drain has landed): the run ends at
+// the next beat boundary, drained, without executing that beat.
+func TestDrainFromAnotherGoroutine(t *testing.T) {
+	reached, release := make(chan struct{}), make(chan struct{})
+	hook := func(beats int) {
+		if beats == 3 {
+			close(reached)
+			<-release
+		}
+	}
+	rt, sess := steadyRuntime(t, RuntimeConfig{BeatHook: hook}, 1)
+	type result struct {
+		steps int
+		err   error
+	}
+	ran := make(chan result, 1)
+	go func() {
+		steps := 0
+		for {
+			done, err := sess.Step()
+			if done || err != nil {
+				ran <- result{steps, err}
+				return
+			}
+			steps++
+		}
+	}()
+	<-reached
+	rt.Drain()
+	close(release)
+	r := <-ran
+	if r.err != nil || r.steps != 3 || !sess.Drained() {
+		t.Fatalf("drained run: steps=%d err=%v drained=%v, want 3, nil, true", r.steps, r.err, sess.Drained())
+	}
+	if got := rt.Snapshot(); got.Beats != 3 || !got.Draining {
+		t.Errorf("snapshot after drain: beats=%d draining=%v, want 3 and true", got.Beats, got.Draining)
+	}
+}
+
+// TestSnapshotAndSteadyStepAllocs pins a steady-state beat (Record
+// off, quantum boundaries and setting switches included) and a
+// Snapshot at zero allocations.
+func TestSnapshotAndSteadyStepAllocs(t *testing.T) {
+	rt, sess := steadyRuntime(t, RuntimeConfig{}, 1.5)
+	stepN(t, sess, 5*control.DefaultQuantumBeats)
+	if allocs := testing.AllocsPerRun(10*control.DefaultQuantumBeats, func() {
+		if done, err := sess.Step(); done || err != nil {
+			t.Fatalf("step: done=%v err=%v", done, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Session.Step allocates %v times per beat, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = rt.Snapshot() }); allocs != 0 {
+		t.Errorf("Snapshot allocates %v times per call, want 0", allocs)
 	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/control"
@@ -58,10 +60,11 @@ type RuntimeConfig struct {
 // Runtime executes application streams on a simulated machine under
 // PowerDial control.
 //
-// One goroutine drives the run (RunStream or Session.Step); the
-// lifecycle methods — Pause, Resume, Drain, Snapshot — may be called
-// concurrently from a supervisor goroutine, which is how the fleet
-// supervisor manages resident instances.
+// One goroutine at a time drives the run (RunStream or Session.Step)
+// and owns the beat state; the lifecycle methods — Pause, Resume,
+// Drain, Snapshot — may be called concurrently from a supervisor
+// goroutine, which is how the fleet supervisor manages resident
+// instances.
 type Runtime struct {
 	sys     *System
 	mach    *platform.Machine
@@ -75,15 +78,24 @@ type Runtime struct {
 	baseline knobs.Setting
 	hook     func(int)
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	sch      control.Schedule
-	current  knobs.Setting
-	beats    int
-	trace    []TracePoint
-	paused   bool
-	draining bool
+	// mu guards trace, the writes of sch, and the writes of state;
+	// cond (on mu) wakes a beat blocked by Pause. The stepping
+	// goroutine reads sch without mu, because it is sch's only writer;
+	// current is read and written by the stepping goroutine alone.
+	mu      sync.Mutex
+	cond    *sync.Cond
+	sch     control.Schedule
+	current knobs.Setting
+	beats   atomic.Int64
+	trace   []TracePoint
+	state   atomic.Uint32 // statePaused | stateDraining
 }
+
+// Bits of Runtime.state. A steady beat loads the word once and finds 0.
+const (
+	statePaused uint32 = 1 << iota
+	stateDraining
+)
 
 // BaselineCostPerBeat measures the mean work units per iteration of the
 // application at its baseline setting over the given input set — the
@@ -202,14 +214,14 @@ func (rt *Runtime) Gain() float64 {
 // Pausing an already-paused runtime is a no-op.
 func (rt *Runtime) Pause() {
 	rt.mu.Lock()
-	rt.paused = true
+	rt.state.Store(rt.state.Load() | statePaused)
 	rt.mu.Unlock()
 }
 
 // Resume releases a Pause.
 func (rt *Runtime) Resume() {
 	rt.mu.Lock()
-	rt.paused = false
+	rt.state.Store(rt.state.Load() &^ statePaused)
 	rt.mu.Unlock()
 	rt.cond.Broadcast()
 }
@@ -220,69 +232,43 @@ func (rt *Runtime) Resume() {
 // wakes a paused runtime so it can wind down.
 func (rt *Runtime) Drain() {
 	rt.mu.Lock()
-	rt.draining = true
+	rt.state.Store(rt.state.Load() | stateDraining)
 	rt.mu.Unlock()
 	rt.cond.Broadcast()
 }
 
 // Draining reports whether Drain has been requested.
-func (rt *Runtime) Draining() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.draining
-}
+func (rt *Runtime) Draining() bool { return rt.state.Load()&stateDraining != 0 }
 
 // Snapshot is a point-in-time observation of a running instance, safe to
 // take from another goroutine.
 type Snapshot struct {
-	Beats    int           // completed iterations
-	Setting  knobs.Setting // knob setting of the most recent beat
-	Gain     float64       // active plan's expected speedup
-	PlanLoss float64       // active plan's expected QoS loss
-	NormPerf float64       // windowed heart rate / target (1.0 = on target)
+	Beats    int     // completed iterations
+	Gain     float64 // active plan's expected speedup
+	PlanLoss float64 // active plan's expected QoS loss
+	NormPerf float64 // windowed heart rate / target (1.0 = on target)
 	Paused   bool
 	Draining bool
 }
 
-// Snapshot captures the runtime's observable state.
-func (rt *Runtime) Snapshot() Snapshot {
-	rt.mu.Lock()
-	s := Snapshot{
-		Beats:    rt.beats,
-		Gain:     1,
-		Paused:   rt.paused,
-		Draining: rt.draining,
-	}
-	if rt.current != nil {
-		s.Setting = rt.current.Clone()
-	}
-	return rt.finishSnapshot(s)
-}
-
-// StatsSnapshot is Snapshot without the Setting clone — the per-round
-// stats sweep reads one per instance per round, and the defensive copy
-// of the current setting was that path's only allocation. Callers that
-// need the Setting use Snapshot.
+// Snapshot captures the runtime's observable state. The per-round stats
+// sweep reads one per instance per round, so it allocates nothing.
 //
 //fleetvet:noalloc
-func (rt *Runtime) StatsSnapshot() Snapshot {
-	rt.mu.Lock()
-	return rt.finishSnapshot(Snapshot{
-		Beats:    rt.beats,
+func (rt *Runtime) Snapshot() Snapshot {
+	st := rt.state.Load()
+	s := Snapshot{
+		Beats:    int(rt.beats.Load()),
 		Gain:     1,
-		Paused:   rt.paused,
-		Draining: rt.draining,
-	})
-}
-
-// finishSnapshot fills the plan- and monitor-derived fields; the caller
-// holds rt.mu, which is released here.
-func (rt *Runtime) finishSnapshot(s Snapshot) Snapshot {
+		Paused:   st&statePaused != 0,
+		Draining: st&stateDraining != 0,
+	}
 	if !rt.off {
+		rt.mu.Lock()
 		s.Gain = rt.sch.Plan().ExpectedSpeedup()
 		s.PlanLoss = rt.sch.Plan().ExpectedLoss()
+		rt.mu.Unlock()
 	}
-	rt.mu.Unlock()
 	s.NormPerf = rt.mon.NormalizedPerformance()
 	return s
 }
@@ -324,9 +310,6 @@ func (rt *Runtime) NewSession(st workload.Stream) *Session {
 // (workload.Rewinder) use this to serve steady-state requests without
 // allocating.
 func (rt *Runtime) StartSession(s *Session, run workload.Run) *Session {
-	rt.mu.Lock()
-	startBeats := rt.beats
-	rt.mu.Unlock()
 	if s == nil {
 		s = &Session{}
 	}
@@ -334,7 +317,7 @@ func (rt *Runtime) StartSession(s *Session, run workload.Run) *Session {
 		rt:         rt,
 		run:        run,
 		start:      rt.mach.Clock().Now(),
-		startBeats: startBeats,
+		startBeats: int(rt.beats.Load()),
 	}
 	return s
 }
@@ -382,37 +365,36 @@ func (s *Session) Step() (done bool, err error) {
 
 // finishBeat emits the heartbeat for the completed iteration, records the
 // trace point, and at quantum boundaries runs the controller and actuator
-// to produce the next plan. It returns the total beat count.
+// to produce the next plan. It returns the total beat count. It takes
+// rt.mu only to publish a new schedule or a trace point.
 func (rt *Runtime) finishBeat(setting knobs.Setting) int {
 	rt.mon.Beat()
-	rt.mu.Lock()
-	rt.beats++
-	beats := rt.beats
+	beats := int(rt.beats.Add(1))
 	if !rt.off && beats%rt.quantum == 0 {
 		if h := rt.mon.WindowRate(); h > 0 {
-			s := rt.ctl.Update(h)
-			rt.sch = control.BuildSchedule(rt.act.PlanFor(s), rt.quantum)
+			// A schedule is a pure function of the commanded speedup
+			// (the plan records it as Required), so an unchanged
+			// command keeps the schedule in place.
+			if s := rt.ctl.Update(h); math.Float64bits(s) != math.Float64bits(rt.sch.Plan().Required) {
+				rt.mu.Lock()
+				rt.sch = control.BuildSchedule(rt.act.PlanFor(s), rt.quantum)
+				rt.mu.Unlock()
+			}
 		}
 	}
 	if rt.record {
-		rt.trace = append(rt.trace, TracePoint{
+		p := TracePoint{
 			Time:      rt.mach.Clock().Now(),
 			NormPerf:  rt.mon.NormalizedPerformance(),
-			Gain:      rt.gainLocked(),
+			Gain:      rt.Gain(),
 			Setting:   setting.Clone(),
 			Frequency: rt.mach.Frequency(),
-		})
+		}
+		rt.mu.Lock()
+		rt.trace = append(rt.trace, p)
+		rt.mu.Unlock()
 	}
-	rt.mu.Unlock()
 	return beats
-}
-
-// gainLocked is Gain with rt.mu held.
-func (rt *Runtime) gainLocked() float64 {
-	if rt.off {
-		return 1
-	}
-	return rt.sch.Plan().ExpectedSpeedup()
 }
 
 // StepUntil serves beats until the stream is exhausted or the machine's
@@ -460,9 +442,7 @@ func (s *Session) Output() workload.Output { return s.run.Output() }
 func (s *Session) Summary() RunSummary {
 	rt := s.rt
 	elapsed := rt.mach.Clock().Now().Sub(s.start)
-	rt.mu.Lock()
-	nbeats := rt.beats - s.startBeats
-	rt.mu.Unlock()
+	nbeats := int(rt.beats.Load()) - s.startBeats
 	sum := RunSummary{
 		Output:    s.run.Output(),
 		Beats:     nbeats,
@@ -500,29 +480,30 @@ func (rt *Runtime) RunStream(st workload.Stream) (RunSummary, error) {
 	return sess.Summary(), nil
 }
 
-// beginBeat is a beat's prologue, one critical section on rt.mu: it
-// blocks while the runtime is paused and reports whether it is draining;
-// otherwise it picks the beat's knob setting from the quantum schedule,
-// whether that setting is already installed, and the schedule's idle
-// ratio. Reading all three here is exact: only finishBeat replaces
-// rt.sch and only installSetting writes rt.current, and both run on the
-// goroutine driving the beat.
+// beginBeat is a beat's prologue. It loads the state word once; only
+// when a Pause or Drain is pending does it take rt.mu, to block while
+// paused and to report draining. Otherwise it picks the beat's knob
+// setting from the quantum schedule, whether that setting is already
+// installed, and the schedule's idle ratio, all without a lock: only
+// the goroutine driving the beat writes rt.sch and rt.current.
 func (rt *Runtime) beginBeat() (setting knobs.Setting, installed bool, idleRatio float64, draining bool) {
-	rt.mu.Lock()
-	for rt.paused && !rt.draining {
-		rt.cond.Wait()
-	}
-	if rt.draining {
+	if rt.state.Load() != 0 {
+		rt.mu.Lock()
+		for rt.state.Load() == statePaused {
+			rt.cond.Wait()
+		}
+		draining = rt.state.Load()&stateDraining != 0
 		rt.mu.Unlock()
-		return nil, false, 0, true
+		if draining {
+			return nil, false, 0, true
+		}
 	}
 	setting = rt.baseline
 	if !rt.off {
-		setting = rt.sch.Setting(rt.beats % rt.quantum)
+		setting = rt.sch.Setting(int(rt.beats.Load()) % rt.quantum)
 		idleRatio = rt.sch.IdleRatio()
 	}
 	installed = rt.current != nil && rt.current.Equal(setting)
-	rt.mu.Unlock()
 	return setting, installed, idleRatio, false
 }
 
@@ -532,13 +513,11 @@ func (rt *Runtime) installSetting(s knobs.Setting) error {
 	if err := rt.sys.ApplySetting(s); err != nil {
 		return err
 	}
-	rt.mu.Lock()
 	// Reuse the current slice's storage: a time-sliced plan flips the
-	// setting nearly every beat, and current never escapes un-cloned
-	// (Snapshot hands out a copy), so this is the one assignment that
-	// would otherwise allocate once per beat fleet-wide.
+	// setting nearly every beat, and current never leaves the stepping
+	// goroutine, so this is the one assignment that would otherwise
+	// allocate once per beat fleet-wide.
 	rt.current = append(rt.current[:0], s...)
-	rt.mu.Unlock()
 	return nil
 }
 

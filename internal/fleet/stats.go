@@ -233,7 +233,7 @@ func (s *Supervisor) drainRoundCounters(rs *RoundStats) {
 		// instances still placed.
 		a := &aggs[inst.grp.index]
 		g := inst.grp
-		snap := inst.rt.StatsSnapshot()
+		snap := inst.rt.Snapshot()
 		rs.Beats += snap.Beats - inst.prevBeats
 		inst.prevBeats = snap.Beats
 		if !inst.retired {

@@ -58,12 +58,17 @@ func Range(lo, hi, step int64) []int64 {
 type Setting []int64
 
 // Key returns a canonical string form usable as a map key and in JSON.
-func (s Setting) Key() string {
-	parts := make([]string, len(s))
+func (s Setting) Key() string { return string(s.appendKey(nil)) }
+
+// appendKey appends the Key form to b.
+func (s Setting) appendKey(b []byte) []byte {
 	for i, v := range s {
-		parts[i] = strconv.FormatInt(v, 10)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, v, 10)
 	}
-	return strings.Join(parts, ",")
+	return b
 }
 
 // ParseSetting inverts Setting.Key.

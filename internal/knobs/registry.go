@@ -31,6 +31,8 @@ type Registry struct {
 	names    []string
 	writers  map[string]func(Value)
 	recorded map[string]map[string]Value // setting key -> var name -> value
+	scratch  []Value                     // per variable, the buffer Apply hands its writer
+	key      []byte                      // Apply's setting-key buffer
 	current  Setting
 	applies  uint64
 }
@@ -46,6 +48,12 @@ func NewRegistry() *Registry {
 // RegisterVar registers a control variable by name with the callback that
 // stores a value into the application. Registration order is preserved for
 // deterministic application.
+//
+// Apply runs the writers one Apply at a time with the registry locked, so
+// writers that stage several variables into shared application state see
+// one setting's values together; a writer must not call back into the
+// registry. The Value a writer receives is the registry's buffer, valid
+// only until the writer returns: a writer that keeps it must copy it.
 func (r *Registry) RegisterVar(name string, write func(Value)) error {
 	if write == nil {
 		return fmt.Errorf("knobs: nil writer for control variable %q", name)
@@ -57,6 +65,7 @@ func (r *Registry) RegisterVar(name string, write func(Value)) error {
 	}
 	r.writers[name] = write
 	r.names = append(r.names, name)
+	r.scratch = append(r.scratch, nil)
 	return nil
 }
 
@@ -98,28 +107,23 @@ func (r *Registry) Recorded() []string {
 // Apply writes the recorded values for the setting into the application
 // through the registered callbacks, in registration order, and remembers
 // the setting as current. Subsequent iterations of the application's main
-// control loop read the updated control variables.
+// control loop read the updated control variables. A steady-state Apply
+// allocates nothing: the key, the values handed to the writers and the
+// current setting all reuse the registry's buffers.
 func (r *Registry) Apply(s Setting) error {
 	r.mu.Lock()
-	vals, ok := r.recorded[s.Key()]
+	defer r.mu.Unlock()
+	r.key = s.appendKey(r.key[:0])
+	vals, ok := r.recorded[string(r.key)]
 	if !ok {
-		r.mu.Unlock()
 		return fmt.Errorf("knobs: no recorded values for setting %s", s.Key())
 	}
-	writers := make([]func(Value), len(r.names))
-	values := make([]Value, len(r.names))
 	for i, n := range r.names {
-		writers[i] = r.writers[n]
-		values[i] = vals[n]
+		r.scratch[i] = append(r.scratch[i][:0], vals[n]...)
+		r.writers[n](r.scratch[i])
 	}
-	r.current = s.Clone()
+	r.current = append(r.current[:0], s...)
 	r.applies++
-	r.mu.Unlock()
-	// Invoke callbacks outside the lock: writers may take application
-	// locks of their own.
-	for i := range writers {
-		writers[i](values[i].Clone())
-	}
 	return nil
 }
 

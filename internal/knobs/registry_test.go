@@ -158,3 +158,32 @@ func TestRegistryConcurrentApply(t *testing.T) {
 		t.Fatalf("val = %v after concurrent applies", val)
 	}
 }
+
+// TestRegistryApplyAllocs pins a steady-state Apply, alternating two
+// recorded settings, at zero allocations.
+func TestRegistryApplyAllocs(t *testing.T) {
+	r := NewRegistry()
+	var trials float64
+	_ = r.RegisterVar("nTrials", func(v Value) { trials = v[0] })
+	_ = r.RegisterVar("weights", func(Value) {})
+	lo, hi := Setting{1, 10}, Setting{2, 20}
+	_ = r.Record(lo, map[string]Value{"nTrials": {100}, "weights": {1, 2}})
+	_ = r.Record(hi, map[string]Value{"nTrials": {1000}, "weights": {3, 4, 5}})
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		s := lo
+		if i%2 == 0 {
+			s = hi
+		}
+		if err := r.Apply(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Apply allocates %v times per call, want 0", allocs)
+	}
+	if err := r.Apply(lo); err != nil || trials != 100 {
+		t.Errorf("after Apply(lo): err=%v nTrials=%v, want nil and 100", err, trials)
+	}
+}
