@@ -37,6 +37,16 @@ func (s Scale) String() string {
 	}
 }
 
+// ParseScale is the Scale that String names: small | medium | large.
+func ParseScale(name string) (Scale, error) {
+	for _, s := range []Scale{ScaleSmall, ScaleMedium, ScaleLarge} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q (small | medium | large)", name)
+}
+
 // BenchmarkNames lists the paper's four applications.
 func BenchmarkNames() []string {
 	return []string{"swaptions", "x264", "bodytrack", "swish++"}

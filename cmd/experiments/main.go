@@ -26,16 +26,9 @@ func main() {
 	scale := flag.String("scale", "medium", "input scale: small | medium | large")
 	flag.Parse()
 
-	var sc powerdial.Scale
-	switch *scale {
-	case "small":
-		sc = powerdial.ScaleSmall
-	case "medium":
-		sc = powerdial.ScaleMedium
-	case "large":
-		sc = powerdial.ScaleLarge
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := powerdial.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

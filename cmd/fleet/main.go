@@ -2,7 +2,9 @@
 // instances across M simulated machines under a cluster-wide power
 // budget, driven by the deterministic discrete-event scheduler, fed by
 // an open-loop load generator whose arrivals land at exponentially
-// spaced virtual instants.
+// spaced virtual instants. Every mode but -sweep turns its flags into
+// one internal/spec Spec, validated like a -scenario file, and builds
+// its fleet from that spec.
 //
 // Usage:
 //
@@ -35,64 +37,15 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fleet"
 	"repro/internal/platform"
+	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
 func main() {
-	appName := flag.String("app", "synthetic", "workload: synthetic | swaptions | x264 | bodytrack | swish++")
-	scale := flag.String("scale", "small", "benchmark input scale: small | medium | large")
-	machines := flag.Int("machines", 2, "simulated machine count")
-	cores := flag.Int("cores", 2, "cores per machine")
-	instances := flag.Int("instances", 8, "application instances to start")
-	rounds := flag.Int("rounds", 30, "control quanta to simulate")
-	budget := flag.Float64("budget", 400, "cluster power cap in watts (0 = unlimited)")
-	dropTo := flag.Float64("drop-to", 0, "change the budget to this many watts mid-run (0 = never)")
-	dropAt := flag.Int("drop-at", 0, "round at which the budget change lands")
-	dropFrac := flag.Float64("drop-frac", 0, "fraction of the quantum into round -drop-at at which the change lands (0 = boundary, 0.5 = mid-quantum)")
-	load := flag.String("load", "saturate", "arrival process: saturate | constant | ramp | spike")
-	rate := flag.Float64("rate", 6, "mean arrivals per quantum (constant/ramp/spike)")
-	reqIters := flag.Int("req-iters", 0, "iterations per request work item (0 = whole stream)")
-	seed := flag.Int64("seed", 1, "load generator seed")
-	workers := flag.Int("workers", 0, "shard worker pool size: 0 = GOMAXPROCS, 1 = run the per-host shards inline on one goroutine, N>1 = an N-worker pool for windows holding more than a few dozen events (smaller ones run inline; bit-identical results at any value)")
-	fluid := flag.Int("fluid", 0, "hybrid fluid/discrete engine: instances whose queue reaches this depth leave the event timeline and drain analytically until the backlog falls below half the threshold (0 = pure discrete)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	plotPath := flag.String("plot", "", "with -replay or -sweep: also render an SVG figure (replay timeline / sweep trend panels) here")
-	feedforward := flag.Bool("feedforward", false, "replay: clamp autoscaler proposals to ±1 of the M/D/1 planner at the smoothed arrival rate (model-informed damping)")
-	latency := flag.Bool("latency", false, "print per-instance p50/p95/p99 request latency")
-	tracePath := flag.String("trace", "", "write the event-time trace to this CSV file")
-	replayPath := flag.String("replay", "", "run the Fig. 8 autoscaler replay and write its per-quantum CSV here")
-	scenarioPath := flag.String("scenario", "", "run a heterogeneous scenario from this JSON spec (named workload groups with per-group apps, loads, SLOs, and contention pressure)")
-	ratesPath := flag.String("rates", "", "recorded arrival trace for -replay (one mean-arrivals-per-quantum per line; default: synthetic Fig. 8 shape at peak -rate)")
-	faultsPath := flag.String("faults", "", "inject faults from this JSON spec (seeded crash/rack-outage/throttle/straggler/sag rates, or an explicit schedule)")
-	resiliencePath := flag.String("resilience", "", "write the per-fault resilience CSV here (requires -faults)")
-	sloP95 := flag.Float64("slo-p95", 1.2, "p95 request-latency SLO in seconds the replay autoscaler provisions for")
-	scaleMin := flag.Int("scale-min", 1, "replay autoscaler lower instance bound")
-	scaleMax := flag.Int("scale-max", 0, "replay autoscaler upper instance bound (0 = total cluster cores)")
-	serveAddr := flag.String("serve", "", "run as a live wall-clock server: HTTP gateway address (e.g. :8080), or 'none' for the in-process -swarm only")
-	duration := flag.Duration("duration", 30*time.Second, "with -serve: wall-clock time to serve (one round per quantum)")
-	swarm := flag.Float64("swarm", 0, "with -serve: in-process open-loop client swarm rate in requests/sec (0 = none)")
-	twin := flag.Bool("twin", false, "with -serve: autoscale with the digital twin's faster-than-real-time what-if advice clamping the hysteresis policy")
-	admitQueue := flag.Int("admit-queue", 8, "with -serve: shed new requests once a group's backlog reaches this many per accepting instance")
-	latencyHist := flag.String("latency-hist", "", "with -serve: write the request-latency histogram CSV here")
-	sweepPath := flag.String("sweep", "", "run a Monte Carlo parameter sweep from this grid-spec JSON (see docs/SWEEP_FORMAT.md); aggregated CSV goes to stdout or -out")
-	outPath := flag.String("out", "", "with -sweep: write the CSV here instead of stdout")
-	procs := flag.Int("procs", 0, "with -sweep: worker pool size (0 = NumCPU; output is byte-identical at any value)")
-	reps := flag.Int("reps", 0, "with -sweep: override the grid's replications per cell")
-	hdr := flag.Bool("hdr", false, "with -sweep: print the CSV schema line for the grid and exit")
-	flag.Parse()
-	instancesSet, roundsSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "instances":
-			instancesSet = true
-		case "rounds":
-			roundsSet = true
-		}
-	})
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	o, _ := parseFlags(flag.CommandLine, os.Args[1:]) // exits on a bad flag
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -102,23 +55,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	err := run(options{
-		app: *appName, scale: *scale,
-		machines: *machines, cores: *cores, instances: *instances, rounds: *rounds,
-		budget: *budget, dropTo: *dropTo, dropAt: *dropAt, dropFrac: *dropFrac,
-		load: *load, rate: *rate, reqIters: *reqIters, seed: *seed,
-		workers: *workers, fluid: *fluid,
-		feedforward: *feedforward,
-		latency:     *latency, tracePath: *tracePath, plotPath: *plotPath,
-		replayPath: *replayPath, ratesPath: *ratesPath, scenarioPath: *scenarioPath,
-		faultsPath: *faultsPath, resiliencePath: *resiliencePath,
-		sloP95: *sloP95, scaleMin: *scaleMin, scaleMax: *scaleMax,
-		sweepPath: *sweepPath, outPath: *outPath, procs: *procs, reps: *reps, hdr: *hdr,
-		serveAddr: *serveAddr, duration: *duration, swarm: *swarm, twin: *twin,
-		admitQueue: *admitQueue, latencyHist: *latencyHist,
-		instancesSet: instancesSet, roundsSet: roundsSet,
-	})
-	if *cpuprofile != "" {
+	err := run(o)
+	if o.cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
 	if err != nil {
@@ -131,7 +69,7 @@ type options struct {
 	app, scale, load, tracePath          string
 	replayPath, ratesPath, scenarioPath  string
 	faultsPath, resiliencePath, plotPath string
-	sweepPath, outPath                   string
+	sweepPath, outPath, cpuprofile       string
 	serveAddr, latencyHist               string
 	machines, cores, instances, rounds   int
 	dropAt, reqIters, workers, fluid     int
@@ -149,29 +87,83 @@ type options struct {
 	roundsSet                            bool // -rounds given explicitly
 }
 
-// workloadFor builds the per-instance app factory and its calibrated
-// profile. baseCost sizes the synthetic app (0 = its default) and is
-// ignored by the real benchmarks.
-func workloadFor(appName, scale string, baseCost float64) (func() (workload.App, error), *calibrate.Profile, error) {
-	if appName == "synthetic" {
-		opts := fleet.SyntheticOptions{BaseCost: baseCost}
+// parseFlags parses args with fs into options. -scale-max 0 becomes
+// the total cluster core count.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.app, "app", "synthetic", "workload: synthetic | swaptions | x264 | bodytrack | swish++")
+	fs.StringVar(&o.scale, "scale", "small", "benchmark input scale: small | medium | large")
+	fs.IntVar(&o.machines, "machines", 2, "simulated machine count")
+	fs.IntVar(&o.cores, "cores", 2, "cores per machine")
+	fs.IntVar(&o.instances, "instances", 8, "application instances to start")
+	fs.IntVar(&o.rounds, "rounds", 30, "control quanta to simulate")
+	fs.Float64Var(&o.budget, "budget", 400, "cluster power cap in watts (0 = unlimited)")
+	fs.Float64Var(&o.dropTo, "drop-to", 0, "change the budget to this many watts mid-run (0 = never)")
+	fs.IntVar(&o.dropAt, "drop-at", 0, "round at which the budget change lands")
+	fs.Float64Var(&o.dropFrac, "drop-frac", 0, "fraction of the quantum into round -drop-at at which the change lands (0 = boundary, 0.5 = mid-quantum)")
+	fs.StringVar(&o.load, "load", "saturate", "arrival process: saturate | constant | ramp | spike")
+	fs.Float64Var(&o.rate, "rate", 6, "mean arrivals per quantum (constant/ramp/spike)")
+	fs.IntVar(&o.reqIters, "req-iters", 0, "iterations per request work item (0 = whole stream)")
+	fs.Int64Var(&o.seed, "seed", 1, "load generator seed")
+	fs.IntVar(&o.workers, "workers", 0, "shard worker pool size: 0 = GOMAXPROCS, 1 = run the per-host shards inline on one goroutine, N>1 = an N-worker pool for windows holding more than a few dozen events (smaller ones run inline; bit-identical results at any value)")
+	fs.IntVar(&o.fluid, "fluid", 0, "hybrid fluid/discrete engine: instances whose queue reaches this depth leave the event timeline and drain analytically until the backlog falls below half the threshold (0 = pure discrete)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&o.plotPath, "plot", "", "with -replay or -sweep: also render an SVG figure (replay timeline / sweep trend panels) here")
+	fs.BoolVar(&o.feedforward, "feedforward", false, "replay: clamp autoscaler proposals to ±1 of the M/D/1 planner at the smoothed arrival rate (model-informed damping)")
+	fs.BoolVar(&o.latency, "latency", false, "print per-instance p50/p95/p99 request latency")
+	fs.StringVar(&o.tracePath, "trace", "", "write the event-time trace to this CSV file")
+	fs.StringVar(&o.replayPath, "replay", "", "run the Fig. 8 autoscaler replay and write its per-quantum CSV here")
+	fs.StringVar(&o.scenarioPath, "scenario", "", "run a heterogeneous scenario from this JSON spec (named workload groups with per-group apps, loads, SLOs, and contention pressure)")
+	fs.StringVar(&o.ratesPath, "rates", "", "recorded arrival trace for -replay (one mean-arrivals-per-quantum per line; default: synthetic Fig. 8 shape at peak -rate)")
+	fs.StringVar(&o.faultsPath, "faults", "", "inject faults from this JSON spec (seeded crash/rack-outage/throttle/straggler/sag rates, or an explicit schedule)")
+	fs.StringVar(&o.resiliencePath, "resilience", "", "write the per-fault resilience CSV here (requires -faults)")
+	fs.Float64Var(&o.sloP95, "slo-p95", 1.2, "p95 request-latency SLO in seconds the replay autoscaler provisions for")
+	fs.IntVar(&o.scaleMin, "scale-min", 1, "replay autoscaler lower instance bound")
+	fs.IntVar(&o.scaleMax, "scale-max", 0, "replay autoscaler upper instance bound (0 = total cluster cores)")
+	fs.StringVar(&o.serveAddr, "serve", "", "run as a live wall-clock server: HTTP gateway address (e.g. :8080), or 'none' for the in-process -swarm only")
+	fs.DurationVar(&o.duration, "duration", 30*time.Second, "with -serve: wall-clock time to serve (one round per quantum)")
+	fs.Float64Var(&o.swarm, "swarm", 0, "with -serve: in-process open-loop client swarm rate in requests/sec (0 = none)")
+	fs.BoolVar(&o.twin, "twin", false, "with -serve: autoscale with the digital twin's faster-than-real-time what-if advice clamping the hysteresis policy")
+	fs.IntVar(&o.admitQueue, "admit-queue", 8, "with -serve: shed new requests once a group's backlog reaches this many per accepting instance")
+	fs.StringVar(&o.latencyHist, "latency-hist", "", "with -serve: write the request-latency histogram CSV here")
+	fs.StringVar(&o.sweepPath, "sweep", "", "run a Monte Carlo parameter sweep from this grid-spec JSON (see docs/SWEEP_FORMAT.md); aggregated CSV goes to stdout or -out")
+	fs.StringVar(&o.outPath, "out", "", "with -sweep: write the CSV here instead of stdout")
+	fs.IntVar(&o.procs, "procs", 0, "with -sweep: worker pool size (0 = NumCPU; output is byte-identical at any value)")
+	fs.IntVar(&o.reps, "reps", 0, "with -sweep: override the grid's replications per cell")
+	fs.BoolVar(&o.hdr, "hdr", false, "with -sweep: print the CSV schema line for the grid and exit")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	fs.Visit(func(f *flag.Flag) {
+		o.instancesSet = o.instancesSet || f.Name == "instances"
+		o.roundsSet = o.roundsSet || f.Name == "rounds"
+	})
+	if o.scaleMax <= 0 {
+		o.scaleMax = o.machines * o.cores
+	}
+	return o, nil
+}
+
+// resolveGroup is every mode's spec.Resolver: a group's app factory and
+// calibrated profile — a real benchmark at its input scale (default
+// small), or the synthetic app (the default) sized by baseCost.
+func resolveGroup(g spec.Group) (func() (workload.App, error), *calibrate.Profile, error) {
+	if g.App == "" || g.App == "synthetic" {
+		opts := fleet.SyntheticOptions{BaseCost: g.BaseCost}
 		newApp := func() (workload.App, error) { return fleet.NewSynthetic(opts), nil }
 		probe, _ := newApp()
 		prof, err := powerdial.Calibrate(probe, powerdial.CalibrateOptions{})
 		return newApp, prof, err
 	}
-	var sc powerdial.Scale
-	switch scale {
-	case "small":
-		sc = powerdial.ScaleSmall
-	case "medium":
-		sc = powerdial.ScaleMedium
-	case "large":
-		sc = powerdial.ScaleLarge
-	default:
-		return nil, nil, fmt.Errorf("unknown scale %q", scale)
+	scale := g.Scale
+	if scale == "" {
+		scale = "small"
 	}
-	probe, err := powerdial.NewBenchmark(appName, sc)
+	sc, err := powerdial.ParseScale(scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	probe, err := powerdial.NewBenchmark(g.App, sc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -183,37 +175,83 @@ func workloadFor(appName, scale string, baseCost float64) (func() (workload.App,
 	if err != nil {
 		return nil, nil, err
 	}
-	newApp := func() (workload.App, error) { return powerdial.NewBenchmark(appName, sc) }
+	newApp := func() (workload.App, error) { return powerdial.NewBenchmark(g.App, sc) }
 	return newApp, prof, nil
 }
 
 // quantum is the control quantum of every run mode.
 const quantum = time.Second
 
-// singleGroup maps the flags to the fleet the plain run and -replay
-// drive: one group, "default", of instances copies of -app under the
-// uniform-share interference model the oracle cross-checks assume.
-func singleGroup(o options, instances int) (fleet.Scenario, error) {
-	newApp, prof, err := workloadFor(o.app, o.scale, 0)
-	if err != nil {
-		return fleet.Scenario{}, err
+// flagSpec is the fleet the flags describe, as one spec validated for
+// spec.CLI, so a flag passes the same guard rails as the spec field it
+// sets. -scenario reads its file and applies the -workers and -fluid
+// overrides before validating. Otherwise the spec holds one group of
+// -instances copies of -app: "web" under the pressure model for -serve,
+// and "default" under the uniform-share model the oracle cross-checks
+// assume for the plain run and -replay. -replay and -serve drive
+// arrivals themselves, so their group's load is "none".
+func flagSpec(o options) (*spec.Spec, error) {
+	if o.scenarioPath != "" && o.serveAddr == "" {
+		s, err := spec.ReadScenario(o.scenarioPath)
+		if err != nil {
+			return nil, err
+		}
+		if o.workers != 0 {
+			s.Workers = o.workers
+		}
+		if o.fluid != 0 {
+			s.Fluid = o.fluid
+		}
+		if s.Rounds == 0 {
+			s.Rounds = o.rounds
+		}
+		if err := s.Validate(spec.CLI); err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", o.scenarioPath, err)
+		}
+		return s, nil
 	}
-	return fleet.Scenario{
-		Machines:        o.machines,
-		CoresPerMachine: o.cores,
-		Groups:          []fleet.WorkloadGroup{{Name: "default", NewApp: newApp, Profile: prof, Instances: instances}},
-		Interference:    fleet.UniformShare{},
-		Budget:          o.budget,
-		Quantum:         quantum,
-		Workers:         o.workers,
-		Fluid:           o.fluid,
-		RecordTrace:     o.tracePath != "",
-	}, nil
+	g := spec.Group{
+		Name: "default", App: o.app, Scale: o.scale, Instances: o.instances,
+		Load: o.load, Rate: o.rate, ReqIters: o.reqIters,
+	}
+	s := &spec.Spec{
+		Machines: o.machines, Cores: o.cores, Budget: &o.budget, Rounds: o.rounds,
+		Workers: o.workers, Fluid: o.fluid, Interference: "uniform",
+	}
+	switch {
+	case o.serveAddr != "":
+		g.Name, g.Load, s.Interference = "web", "none", ""
+	case o.replayPath != "":
+		// Initial provisioning: the autoscaler's lower bound, unless
+		// -instances was given explicitly (clamped to the scaling bounds).
+		g.Load, g.Instances = "none", o.scaleMin
+		if o.instancesSet {
+			g.Instances = min(max(o.instances, o.scaleMin), o.scaleMax)
+		}
+	}
+	s.Groups = []spec.Group{g}
+	if err := s.Validate(spec.CLI); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newFleet resolves the validated spec s with resolveGroup and
+// constructs its fleet. seed(gi) is group gi's arrival seed when the
+// spec leaves it 0.
+func newFleet(s *spec.Spec, seed func(gi int) int64, trace bool) (fleet.Scenario, *fleet.Supervisor, error) {
+	sc, err := s.Scenario(resolveGroup, seed, trace)
+	if err != nil {
+		return fleet.Scenario{}, nil, err
+	}
+	sup, err := s.Build(sc)
+	return sc, sup, err
 }
 
 // scheduleDrop lands the -drop-to budget change -drop-frac of the way
 // into round -drop-at: a mid-quantum cap event (none when -drop-to is
-// 0).
+// 0). It stays a flag on the built fleet because a spec describes a
+// fleet, not a stimulus: it has no field for a timed cap step.
 func scheduleDrop(sup *fleet.Supervisor, o options) {
 	if o.dropTo == 0 {
 		return
@@ -241,20 +279,23 @@ func run(o options) error {
 			Log:      os.Stderr,
 		})
 	}
-	if o.serveAddr != "" {
-		return runServe(o)
-	}
-	if o.scenarioPath != "" {
-		return runScenario(o)
-	}
-	if o.replayPath != "" {
-		return runReplay(o)
-	}
-	sc, err := singleGroup(o, o.instances)
+	// Every other mode's fleet is a validated spec before any of it is
+	// built.
+	s, err := flagSpec(o)
 	if err != nil {
 		return err
 	}
-	sup, err := fleet.NewScenario(sc)
+	switch {
+	case o.serveAddr != "":
+		return runServe(o, s)
+	case o.scenarioPath != "":
+		return runScenario(o, s)
+	case o.replayPath != "":
+		return runReplay(o, s)
+	}
+	// The group's own load draws from -seed, 0 included: only a spec
+	// group's seed field reads 0 as "derive".
+	sc, sup, err := newFleet(s, func(int) int64 { return o.seed }, o.tracePath != "")
 	if err != nil {
 		return err
 	}
@@ -262,21 +303,6 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-
-	var gen *fleet.LoadGen
-	switch o.load {
-	case "saturate":
-		gen = fleet.NewSaturatingLoad(2)
-	case "constant":
-		gen = fleet.NewConstantLoad(o.seed, o.rate)
-	case "ramp":
-		gen = fleet.NewRampLoad(o.seed, 0, o.rate, o.rounds/2)
-	case "spike":
-		gen = fleet.NewSpikeLoad(o.seed, o.rate/3, o.rate*2, 10, 3)
-	default:
-		return fmt.Errorf("unknown load %q (saturate | constant | ramp | spike)", o.load)
-	}
-	gen = gen.WithRequestIters(o.reqIters)
 	scheduleDrop(sup, o)
 
 	chaos := ""
@@ -289,8 +315,8 @@ func run(o options) error {
 	fmt.Printf("%5s | %7s | %7s | %-14s | %5s | %6s | %5s | %4s | %-17s\n",
 		"round", "budget", "power W", "GHz per host", "perf", "loss %", "queue", "done", "p50/p95/p99 s")
 
-	for r := 0; r < o.rounds; r++ {
-		rs, err := sup.Step(gen)
+	for r := 0; r < s.Rounds; r++ {
+		rs, err := sup.Step(nil)
 		if err != nil {
 			return err
 		}
@@ -346,7 +372,7 @@ func run(o options) error {
 	}
 
 	// Close the loop against the analytic oracle for the saturating case.
-	if _, ok := gen.Saturating(); ok {
+	if o.load == "saturate" {
 		oracle, err := cluster.NewOracle(o.machines, o.cores, sc.Groups[0].Profile, powerdial.DefaultPowerModel(), platform.Frequencies[0])
 		if err != nil {
 			return err
@@ -367,32 +393,13 @@ func run(o options) error {
 // per-quantum consolidation timeline is written as CSV, and the
 // autoscaler's steady-state provisioning is cross-checked against the
 // M/D/1 planner.
-func runReplay(o options) error {
-	if o.reqIters <= 0 {
+func runReplay(o options, s *spec.Spec) error {
+	if o.reqIters == 0 {
 		// Replay queues per-iteration work items so latency percentiles
 		// reflect queueing at request granularity.
 		o.reqIters = 10
 	}
-	if o.scaleMax <= 0 {
-		o.scaleMax = o.machines * o.cores
-	}
-	// Initial provisioning: the autoscaler's lower bound, unless
-	// -instances was given explicitly (clamped to the scaling bounds).
-	initial := o.scaleMin
-	if o.instancesSet {
-		initial = o.instances
-		if initial < o.scaleMin {
-			initial = o.scaleMin
-		}
-		if initial > o.scaleMax {
-			initial = o.scaleMax
-		}
-	}
-	sc, err := singleGroup(o, initial)
-	if err != nil {
-		return err
-	}
-	sup, err := fleet.NewScenario(sc)
+	_, sup, err := newFleet(s, func(int) int64 { return o.seed }, o.tracePath != "")
 	if err != nil {
 		return err
 	}

@@ -9,45 +9,15 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/calibrate"
 	"repro/internal/fleet"
 	"repro/internal/spec"
-	"repro/internal/workload"
 )
 
-// resolveGroup supplies a -scenario group's app factory and calibrated
-// profile: a real benchmark at its input scale, or the synthetic app
-// sized by baseCost.
-func resolveGroup(g spec.Group) (func() (workload.App, error), *calibrate.Profile, error) {
-	app, scale := g.App, g.Scale
-	if app == "" {
-		app = "synthetic"
-	}
-	if scale == "" {
-		scale = "small"
-	}
-	return workloadFor(app, scale, g.BaseCost)
-}
-
-// runScenario loads a JSON scenario spec, executes it, and prints the
+// runScenario executes the validated -scenario spec s and prints the
 // per-round timeline with per-group columns plus per-group summaries.
-func runScenario(o options) error {
-	s, err := spec.ReadScenario(o.scenarioPath)
-	if err != nil {
-		return err
-	}
-	rounds := s.Rounds
-	if rounds == 0 {
-		rounds = o.rounds
-	}
-	if o.workers != 0 {
-		s.Workers = o.workers
-	}
-	if o.fluid != 0 {
-		s.Fluid = o.fluid
-	}
+func runScenario(o options, s *spec.Spec) error {
 	// A group without a seed draws its arrivals from its index + 1.
-	sup, err := s.Build(resolveGroup, func(gi int) int64 { return int64(gi) + 1 }, o.tracePath != "")
+	_, sup, err := newFleet(s, func(gi int) int64 { return int64(gi) + 1 }, o.tracePath != "")
 	if err != nil {
 		return fmt.Errorf("scenario %s: %w", o.scenarioPath, err)
 	}
@@ -76,7 +46,7 @@ func runScenario(o options) error {
 	}
 	fmt.Println()
 
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < s.Rounds; r++ {
 		rs, err := sup.Step(nil)
 		if err != nil {
 			return err

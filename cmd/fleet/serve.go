@@ -13,6 +13,7 @@ import (
 	"repro/internal/csvcol"
 	"repro/internal/fleet"
 	"repro/internal/serve"
+	"repro/internal/spec"
 )
 
 // runServe is the wall-clock serving mode: the fleet run as a live
@@ -23,12 +24,14 @@ import (
 // what-if scenarios faster than real time, feeding its provisioning
 // recommendation forward into the autoscaler. This is the one place
 // the repo binds clock.Real; everything below it is clock-injected.
-func runServe(o options) error {
-	newApp, prof, err := workloadFor(o.app, o.scale, 0)
+func runServe(o options, s *spec.Spec) error {
+	// A scenario resolved once: the twin's what-if replicas copy it.
+	sc, sup, err := newFleet(s, func(int) int64 { return o.seed }, false)
 	if err != nil {
 		return err
 	}
-	if o.reqIters <= 0 {
+	scheduleDrop(sup, o)
+	if o.reqIters == 0 {
 		// Serving queues per-request work items; a whole-stream request
 		// would occupy an instance for the entire run.
 		o.reqIters = 10
@@ -37,29 +40,6 @@ func runServe(o options) error {
 	if rounds < 1 {
 		rounds = 1
 	}
-	if o.scaleMax <= 0 {
-		o.scaleMax = o.machines * o.cores
-	}
-
-	scenario := func(instances int) fleet.Scenario {
-		return fleet.Scenario{
-			Machines:        o.machines,
-			CoresPerMachine: o.cores,
-			Budget:          o.budget,
-			Quantum:         quantum,
-			Groups: []fleet.WorkloadGroup{{
-				Name:      "web",
-				NewApp:    newApp,
-				Profile:   prof,
-				Instances: instances,
-			}},
-		}
-	}
-	sup, err := fleet.NewScenario(scenario(o.instances))
-	if err != nil {
-		return err
-	}
-	scheduleDrop(sup, o)
 
 	clk := clock.Real{}
 	gw := serve.NewGateway(clk, 4096)
@@ -83,7 +63,12 @@ func runServe(o options) error {
 		}
 		ts := &serve.TwinScaler{Inner: inner}
 		twin, err := serve.NewTwin(serve.TwinConfig{
-			Scenario:     func() fleet.Scenario { return scenario(0) },
+			Scenario: func() fleet.Scenario {
+				empty := sc
+				empty.Groups = []fleet.WorkloadGroup{sc.Groups[0]}
+				empty.Groups[0].Instances = 0
+				return empty
+			},
 			ReqIters:     o.reqIters,
 			SLO:          fleet.SLO{P95: o.sloP95},
 			MaxInstances: o.scaleMax,

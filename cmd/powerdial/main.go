@@ -35,16 +35,9 @@ func main() {
 }
 
 func run(appName, cmd, scaleName, out, in string, qosCap float64) error {
-	var sc powerdial.Scale
-	switch scaleName {
-	case "small":
-		sc = powerdial.ScaleSmall
-	case "medium":
-		sc = powerdial.ScaleMedium
-	case "large":
-		sc = powerdial.ScaleLarge
-	default:
-		return fmt.Errorf("unknown scale %q", scaleName)
+	sc, err := powerdial.ParseScale(scaleName)
+	if err != nil {
+		return err
 	}
 	app, err := powerdial.NewBenchmark(appName, sc)
 	if err != nil {

@@ -81,16 +81,6 @@ func fig5Swish(w io.Writer, s *Suite) error {
 	return nil
 }
 
-// runsPerState is how many passes over the production inputs each
-// runtime experiment makes so the controller converges before the final
-// measured pass.
-func (s *Suite) runsPerState() int {
-	if s.Scale == powerdial.ScaleSmall {
-		return 3
-	}
-	return 4
-}
-
 // Fig6 prints power and QoS loss versus DVFS state with PowerDial
 // holding the baseline heart rate (Figs. 6a–6d), plus the Sec. 5.3
 // performance check (within 5% of target at every state).

@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	powerdial "repro"
 	"repro/internal/workload"
@@ -139,16 +138,6 @@ func origMachines(name string) int {
 		return 3
 	}
 	return 4
-}
-
-// sortedKeys renders map keys deterministically in reports.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // header prints an experiment banner.

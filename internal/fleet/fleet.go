@@ -282,9 +282,6 @@ func (inst *Instance) QueueDepth() int {
 // Snapshot captures the instance's control state (thread-safe).
 func (inst *Instance) Snapshot() core.Snapshot { return inst.rt.Snapshot() }
 
-// Runtime exposes the underlying control runtime.
-func (inst *Instance) Runtime() *core.Runtime { return inst.rt }
-
 // streamFor resolves a request to the stream (or per-iteration work
 // item) it covers on this instance.
 func (inst *Instance) streamFor(req *Request) workload.Stream {

@@ -187,16 +187,6 @@ func (s *Server) RunRound() error {
 	return nil
 }
 
-// Run serves the given number of rounds back to back.
-func (s *Server) Run(rounds int) error {
-	for i := 0; i < rounds; i++ {
-		if err := s.RunRound(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Close stops the async twin goroutine, if any. Safe to call more than
 // once; the serving loop must not RunRound after Close.
 func (s *Server) Close() {

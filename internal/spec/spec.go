@@ -1,9 +1,10 @@
 // Package spec owns the scenario JSON that describes a fleet: the
 // fleet-level fields, the workload groups, and the fault model. Two
-// consumers read it — cmd/fleet's -scenario and -faults files, and every
-// cell of an internal/sweep grid — through one strict decoder (Decode),
-// one validation carrying the guard rails (Spec.Validate), and one
-// builder from a spec to a *fleet.Supervisor (Spec.Build), so a swept
+// consumers read it — cmd/fleet, whose flags and -scenario and -faults
+// files all become a spec, and every cell of an internal/sweep grid —
+// through one strict decoder (Decode), one validation carrying the guard
+// rails (Spec.Validate), and one builder from a spec to a
+// *fleet.Supervisor (Spec.Scenario, then Spec.Build), so a swept
 // confidence interval describes the same fleet as the single run built
 // from the same spec. docs/SWEEP_FORMAT.md is the field reference.
 package spec
@@ -27,9 +28,9 @@ import (
 type Consumer int
 
 const (
-	// CLI is cmd/fleet's -scenario and -faults files. It alone takes
-	// rounds, a group's app, scale and seed, and a fault seed and
-	// schedule.
+	// CLI is cmd/fleet: its flags and its -scenario and -faults files.
+	// It alone takes rounds, a group's app, scale and seed, and a fault
+	// seed and schedule.
 	CLI Consumer = iota
 	// Grid is a cell of a sweep grid. It alone takes arbiterIntervalMs
 	// and inline faults.
@@ -199,16 +200,15 @@ func Decode(data []byte, v any) error {
 	return nil
 }
 
-// ReadScenario decodes and validates a cmd/fleet -scenario file.
+// ReadScenario decodes a cmd/fleet -scenario file and fills in its
+// defaults. The caller validates it (Validate(CLI)) once its command-line
+// overrides are applied, so the overrides pass the same guard rails.
 func ReadScenario(path string) (*Spec, error) {
 	var s Spec
-	err := readFile(path, &s)
-	if err == nil {
-		err = s.Validate(CLI)
-	}
-	if err != nil {
+	if err := readFile(path, &s); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", path, err)
 	}
+	s.Defaults()
 	return &s, nil
 }
 
@@ -238,8 +238,21 @@ func notAccepted(c Consumer, field string) error {
 	return fmt.Errorf("field %q is not accepted in %s", field, c)
 }
 
-// Validate checks s for consumer c and fills in the machine and core
-// defaults. Every error names the offending field.
+// Defaults fills in the cluster size a decoded spec omits: 2 machines
+// of 2 cores. Validate leaves a zero alone and rejects it, so a caller
+// with defaults of its own, such as cmd/fleet's flags, cannot pass a 0
+// that silently reads as the default.
+func (s *Spec) Defaults() {
+	if s.Machines == 0 {
+		s.Machines = 2
+	}
+	if s.Cores == 0 {
+		s.Cores = 2
+	}
+}
+
+// Validate checks s for consumer c. Every error names the offending
+// field.
 func (s *Spec) Validate(c Consumer) error {
 	switch {
 	case c == CLI && s.ArbiterIntervalMs != 0:
@@ -248,12 +261,6 @@ func (s *Spec) Validate(c Consumer) error {
 		return notAccepted(c, "faults")
 	case c == Grid && s.Rounds != 0:
 		return notAccepted(c, "rounds")
-	}
-	if s.Machines == 0 {
-		s.Machines = 2
-	}
-	if s.Cores == 0 {
-		s.Cores = 2
 	}
 	if s.Machines < 1 || s.Machines > maxMachines {
 		return fmt.Errorf("machines %d outside [1, %d]", s.Machines, maxMachines)
@@ -422,11 +429,11 @@ func (s *Spec) BudgetWatts() float64 {
 // profile.
 type Resolver func(Group) (func() (workload.App, error), *calibrate.Profile, error)
 
-// Build constructs the fleet a validated spec describes. resolve
-// supplies each group's app and profile; seed(gi) is group gi's arrival
-// seed when the spec leaves the group's seed 0; trace records the
-// event-time trace.
-func (s *Spec) Build(resolve Resolver, seed func(gi int) int64, trace bool) (*fleet.Supervisor, error) {
+// Scenario resolves a validated spec to the fleet.Scenario it
+// describes. resolve supplies each group's app and profile; seed(gi) is
+// group gi's arrival seed when the spec leaves the group's seed 0;
+// trace records the event-time trace.
+func (s *Spec) Scenario(resolve Resolver, seed func(gi int) int64, trace bool) (fleet.Scenario, error) {
 	sc := fleet.Scenario{
 		Machines:        s.Machines,
 		CoresPerMachine: s.Cores,
@@ -444,7 +451,7 @@ func (s *Spec) Build(resolve Resolver, seed func(gi int) int64, trace bool) (*fl
 	for gi, g := range s.Groups {
 		newApp, prof, err := resolve(g)
 		if err != nil {
-			return nil, fmt.Errorf("group %q: %w", g.Name, err)
+			return fleet.Scenario{}, fmt.Errorf("group %q: %w", g.Name, err)
 		}
 		gseed := g.Seed
 		if gseed == 0 {
@@ -464,6 +471,13 @@ func (s *Spec) Build(resolve Resolver, seed func(gi int) int64, trace bool) (*fl
 		opts := s.Faults.Options()
 		sc.Faults = &opts
 	}
+	return sc, nil
+}
+
+// Build constructs the fleet sc describes, sc being what Scenario
+// resolved s to, and attaches the autoscaler of each group with a
+// scaleMax.
+func (s *Spec) Build(sc fleet.Scenario) (*fleet.Supervisor, error) {
 	sup, err := fleet.NewScenario(sc)
 	if err != nil {
 		return nil, err

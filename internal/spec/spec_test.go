@@ -58,7 +58,13 @@ func TestRejects(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "spec.json")
 			file, base := tc.spec, tc.spec
-			read := func() error { _, err := spec.ReadScenario(path); return err }
+			read := func() error {
+				s, err := spec.ReadScenario(path)
+				if err == nil {
+					err = s.Validate(spec.CLI)
+				}
+				return err
+			}
 			if tc.faults != "" {
 				file, base = tc.faults, `{"faults": `+tc.faults+`, `+group+`}`
 				read = func() error { _, err := spec.ReadFaults(path); return err }

@@ -157,6 +157,7 @@ func (g *Grid) validate() error {
 }
 
 func (c *Cell) validate() error {
+	c.Defaults()
 	if err := c.Spec.Validate(spec.Grid); err != nil {
 		return err
 	}

@@ -245,7 +245,11 @@ func buildSupervisor(cell Cell, seed int64, profiles *profileCache) (*fleet.Supe
 		opts := fleet.SyntheticOptions{BaseCost: g.BaseCost}
 		return func() (workload.App, error) { return fleet.NewSynthetic(opts), nil }, prof, nil
 	}
-	return s.Build(resolve, func(gi int) int64 { return deriveSubSeed(seed, gi) }, false)
+	sc, err := s.Scenario(resolve, func(gi int) int64 { return deriveSubSeed(seed, gi) }, false)
+	if err != nil {
+		return nil, err
+	}
+	return s.Build(sc)
 }
 
 // runReplication executes one seeded run of one cell and extracts its

@@ -184,3 +184,15 @@ func TestClusterViaFacade(t *testing.T) {
 		t.Fatal("consolidation saved no power at peak")
 	}
 }
+
+func TestParseScaleRoundTrips(t *testing.T) {
+	for _, s := range []powerdial.Scale{powerdial.ScaleSmall, powerdial.ScaleMedium, powerdial.ScaleLarge} {
+		got, err := powerdial.ParseScale(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	if _, err := powerdial.ParseScale("huge"); err == nil {
+		t.Error("ParseScale accepted an unknown scale")
+	}
+}
