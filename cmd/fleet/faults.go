@@ -1,37 +1,21 @@
 package main
 
-// The -faults loader: a JSON spec (internal/spec; field reference in
-// docs/SWEEP_FORMAT.md) wires the fault & degradation subsystem
-// (fleet.FaultModel) into any of the CLI's run modes — the plain run,
-// the Fig. 8 replay, and -scenario. The spec either parameterizes the
-// seeded stochastic model or pins an explicit schedule, which wins when
-// both are present, so chaos runs are exactly reproducible. Resilience
-// accounting prints after the run and exports as CSV via -resilience.
+// Resilience accounting of a faulted run. The fault model itself is
+// spec (internal/spec; field reference in docs/SWEEP_FORMAT.md): a
+// -faults file fills the spec's faults in the plain run, -replay and
+// -scenario, whose file may instead hold them inline. Either way it
+// parameterizes the seeded stochastic model or pins an explicit
+// schedule, which wins when both are present, so chaos runs are exactly
+// reproducible. The accounting prints after the run and exports as CSV
+// via -resilience.
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/spec"
 )
-
-// applyFaults wires the -faults spec (when given) into an unstepped
-// supervisor and reports whether faults are active.
-func applyFaults(sup *fleet.Supervisor, o options) (bool, error) {
-	if o.faultsPath == "" {
-		return false, nil
-	}
-	f, err := spec.ReadFaults(o.faultsPath)
-	if err != nil {
-		return false, err
-	}
-	if err := sup.SetFaults(f.Options()); err != nil {
-		return false, err
-	}
-	return true, nil
-}
 
 // reportResilience prints the run's fault accounting and writes the
 // per-fault CSV when -resilience is given.
@@ -58,15 +42,7 @@ func reportResilience(res *fleet.Resilience, o options) error {
 			rec.Redispatched, rec.Dropped, rec.RecoverySeconds, rec.ViolationRounds)
 	}
 	if o.resiliencePath != "" {
-		f, err := os.Create(o.resiliencePath)
-		if err != nil {
-			return err
-		}
-		if err := fleet.WriteResilienceCSV(f, res); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeOutput(o.resiliencePath, func(w io.Writer) error { return fleet.WriteResilienceCSV(w, res) }); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %d resilience rows to %s\n", len(res.Faults), o.resiliencePath)

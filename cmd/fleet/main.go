@@ -4,7 +4,8 @@
 // an open-loop load generator whose arrivals land at exponentially
 // spaced virtual instants. Every mode but -sweep turns its flags into
 // one internal/spec Spec, validated like a -scenario file, and builds
-// its fleet from that spec.
+// its fleet from that spec. Each mode reads a fixed set of flags
+// (modes); a flag given outside that set is an error.
 //
 // Usage:
 //
@@ -28,8 +29,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	powerdial "repro"
@@ -43,7 +47,11 @@ import (
 )
 
 func main() {
-	o, _ := parseFlags(flag.CommandLine, os.Args[1:]) // exits on a bad flag
+	o, err := parseFlags(flag.CommandLine, os.Args[1:]) // exits on a malformed flag
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if o.cpuprofile != "" {
 		f, err := os.Create(o.cpuprofile)
 		if err != nil {
@@ -55,7 +63,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	err := run(o)
+	err = run(o)
 	if o.cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -83,12 +91,28 @@ type options struct {
 	feedforward                          bool
 	twin                                 bool
 	hdr                                  bool
-	instancesSet                         bool // -instances given explicitly
-	roundsSet                            bool // -rounds given explicitly
+	mode                                 string          // the flag selecting the mode, "" for the plain run
+	set                                  map[string]bool // the flags given on the command line
 }
 
-// parseFlags parses args with fs into options. -scale-max 0 becomes
-// the total cluster core count.
+// fleetFlags are the flags that describe the one-group fleet of a mode
+// without a spec file.
+const fleetFlags = "app scale machines cores instances budget drop-to drop-at drop-frac req-iters workers fluid"
+
+// modes lists each run mode by the flag that selects it, in precedence
+// order ("" is the plain run), with the flags it reads besides that one
+// and -cpuprofile.
+var modes = []struct{ flag, reads string }{
+	{"sweep", "out procs reps hdr rounds plot"},
+	{"serve", "duration swarm twin admit-queue latency-hist slo-p95 scale-min scale-max " + fleetFlags},
+	{"scenario", "rounds workers fluid drop-to drop-at drop-frac trace faults resilience"},
+	{"replay", "rates plot feedforward slo-p95 scale-min scale-max rounds rate seed trace faults resilience " + fleetFlags},
+	{"", "load rate seed rounds latency trace faults resilience " + fleetFlags},
+}
+
+// parseFlags parses args with fs into options and picks the mode. A
+// flag given outside the mode's set is an error naming the flag and
+// the mode. -scale-max 0 becomes the total cluster core count.
 func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
 	fs.StringVar(&o.app, "app", "synthetic", "workload: synthetic | swaptions | x264 | bodytrack | swish++")
@@ -98,9 +122,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.IntVar(&o.instances, "instances", 8, "application instances to start")
 	fs.IntVar(&o.rounds, "rounds", 30, "control quanta to simulate")
 	fs.Float64Var(&o.budget, "budget", 400, "cluster power cap in watts (0 = unlimited)")
-	fs.Float64Var(&o.dropTo, "drop-to", 0, "change the budget to this many watts mid-run (0 = never)")
+	fs.Float64Var(&o.dropTo, "drop-to", 0, "change the budget to this many watts mid-run (0 = never); appends one spec caps entry, with -scenario after the file's")
 	fs.IntVar(&o.dropAt, "drop-at", 0, "round at which the budget change lands")
-	fs.Float64Var(&o.dropFrac, "drop-frac", 0, "fraction of the quantum into round -drop-at at which the change lands (0 = boundary, 0.5 = mid-quantum)")
+	fs.Float64Var(&o.dropFrac, "drop-frac", 0, "fraction of the quantum into round -drop-at at which the change lands (0 = boundary, 0.5 = mid-quantum); the cap's atS is -drop-at + -drop-frac, so a fraction that float64 does not hold exactly can land 1 ns early")
 	fs.StringVar(&o.load, "load", "saturate", "arrival process: saturate | constant | ramp | spike")
 	fs.Float64Var(&o.rate, "rate", 6, "mean arrivals per quantum (constant/ramp/spike)")
 	fs.IntVar(&o.reqIters, "req-iters", 0, "iterations per request work item (0 = whole stream)")
@@ -116,7 +140,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&o.scenarioPath, "scenario", "", "run a heterogeneous scenario from this JSON spec (named workload groups with per-group apps, loads, SLOs, and contention pressure)")
 	fs.StringVar(&o.ratesPath, "rates", "", "recorded arrival trace for -replay (one mean-arrivals-per-quantum per line; default: synthetic Fig. 8 shape at peak -rate)")
 	fs.StringVar(&o.faultsPath, "faults", "", "inject faults from this JSON spec (seeded crash/rack-outage/throttle/straggler/sag rates, or an explicit schedule)")
-	fs.StringVar(&o.resiliencePath, "resilience", "", "write the per-fault resilience CSV here (requires -faults)")
+	fs.StringVar(&o.resiliencePath, "resilience", "", "write the per-fault resilience CSV here (requires -faults or a scenario's inline faults)")
 	fs.Float64Var(&o.sloP95, "slo-p95", 1.2, "p95 request-latency SLO in seconds the replay autoscaler provisions for")
 	fs.IntVar(&o.scaleMin, "scale-min", 1, "replay autoscaler lower instance bound")
 	fs.IntVar(&o.scaleMax, "scale-max", 0, "replay autoscaler upper instance bound (0 = total cluster cores)")
@@ -134,14 +158,30 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
+	m := modes[len(modes)-1]
+	for _, c := range modes[:len(modes)-1] {
+		if fs.Lookup(c.flag).Value.String() != "" {
+			m = c
+			break
+		}
+	}
+	name := "-" + m.flag
+	if m.flag == "" {
+		name = "the plain run"
+	}
+	reads := append(strings.Fields(m.reads), m.flag, "cpuprofile")
+	o.mode, o.set = m.flag, map[string]bool{}
+	var err error
 	fs.Visit(func(f *flag.Flag) {
-		o.instancesSet = o.instancesSet || f.Name == "instances"
-		o.roundsSet = o.roundsSet || f.Name == "rounds"
+		o.set[f.Name] = true
+		if err == nil && !slices.Contains(reads, f.Name) {
+			err = fmt.Errorf("flag -%s is not read by %s", f.Name, name)
+		}
 	})
 	if o.scaleMax <= 0 {
 		o.scaleMax = o.machines * o.cores
 	}
-	return o, nil
+	return o, err
 }
 
 // resolveGroup is every mode's spec.Resolver: a group's app factory and
@@ -184,53 +224,75 @@ const quantum = time.Second
 
 // flagSpec is the fleet the flags describe, as one spec validated for
 // spec.CLI, so a flag passes the same guard rails as the spec field it
-// sets. -scenario reads its file and applies the -workers and -fluid
-// overrides before validating. Otherwise the spec holds one group of
-// -instances copies of -app: "web" under the pressure model for -serve,
-// and "default" under the uniform-share model the oracle cross-checks
-// assume for the plain run and -replay. -replay and -serve drive
-// arrivals themselves, so their group's load is "none".
+// sets. -scenario reads its file, and -workers, -fluid and -rounds
+// override the file's values (-rounds also fills in a file without
+// rounds). Otherwise the spec holds one group of -instances copies of
+// -app: "web" under the pressure model for -serve, and "default" under
+// the uniform-share model the oracle cross-checks assume for the plain
+// run and -replay. -replay and -serve drive arrivals themselves, so
+// their group's load is "none". In every mode -faults fills the spec's
+// faults, and -drop-* append one caps entry.
 func flagSpec(o options) (*spec.Spec, error) {
-	if o.scenarioPath != "" && o.serveAddr == "" {
-		s, err := spec.ReadScenario(o.scenarioPath)
+	var s *spec.Spec
+	if o.mode == "scenario" {
+		var err error
+		if s, err = spec.ReadScenario(o.scenarioPath); err != nil {
+			return nil, err
+		}
+		if o.set["workers"] {
+			s.Workers = o.workers
+		}
+		if o.set["fluid"] {
+			s.Fluid = o.fluid
+		}
+		if o.set["rounds"] || s.Rounds == 0 {
+			s.Rounds = o.rounds
+		}
+	} else {
+		g := spec.Group{
+			Name: "default", App: o.app, Scale: o.scale, Instances: o.instances,
+			Load: o.load, Rate: o.rate, ReqIters: o.reqIters,
+		}
+		s = &spec.Spec{
+			Machines: o.machines, Cores: o.cores, Budget: &o.budget, Rounds: o.rounds,
+			Workers: o.workers, Fluid: o.fluid, Interference: "uniform",
+		}
+		switch o.mode {
+		case "serve":
+			g.Name, g.Load, s.Interference = "web", "none", ""
+		case "replay":
+			// Initial provisioning: the autoscaler's lower bound, unless
+			// -instances was given explicitly (clamped to the scaling bounds).
+			g.Load, g.Instances = "none", o.scaleMin
+			if o.set["instances"] {
+				g.Instances = min(max(o.instances, o.scaleMin), o.scaleMax)
+			}
+			if g.Instances < 1 {
+				return nil, fmt.Errorf("-replay starts %d instances: -scale-min %d, or -instances clamped to [-scale-min, -scale-max], must be at least 1", g.Instances, o.scaleMin)
+			}
+		}
+		s.Groups = []spec.Group{g}
+	}
+	if o.faultsPath != "" {
+		if s.Faults != nil {
+			return nil, fmt.Errorf("-faults %s and the inline faults of scenario %s: give one", o.faultsPath, o.scenarioPath)
+		}
+		f, err := spec.ReadFaults(o.faultsPath)
 		if err != nil {
 			return nil, err
 		}
-		if o.workers != 0 {
-			s.Workers = o.workers
-		}
-		if o.fluid != 0 {
-			s.Fluid = o.fluid
-		}
-		if s.Rounds == 0 {
-			s.Rounds = o.rounds
-		}
-		if err := s.Validate(spec.CLI); err != nil {
+		s.Faults = f
+	}
+	if o.resiliencePath != "" && s.Faults == nil {
+		return nil, fmt.Errorf("-resilience %s: the run has no faults (-faults, or a scenario's inline faults)", o.resiliencePath)
+	}
+	if o.dropTo != 0 {
+		s.Caps = append(s.Caps, spec.Cap{AtS: float64(o.dropAt) + o.dropFrac, Watts: o.dropTo})
+	}
+	if err := s.Validate(spec.CLI); err != nil {
+		if o.mode == "scenario" {
 			return nil, fmt.Errorf("scenario %s: %w", o.scenarioPath, err)
 		}
-		return s, nil
-	}
-	g := spec.Group{
-		Name: "default", App: o.app, Scale: o.scale, Instances: o.instances,
-		Load: o.load, Rate: o.rate, ReqIters: o.reqIters,
-	}
-	s := &spec.Spec{
-		Machines: o.machines, Cores: o.cores, Budget: &o.budget, Rounds: o.rounds,
-		Workers: o.workers, Fluid: o.fluid, Interference: "uniform",
-	}
-	switch {
-	case o.serveAddr != "":
-		g.Name, g.Load, s.Interference = "web", "none", ""
-	case o.replayPath != "":
-		// Initial provisioning: the autoscaler's lower bound, unless
-		// -instances was given explicitly (clamped to the scaling bounds).
-		g.Load, g.Instances = "none", o.scaleMin
-		if o.instancesSet {
-			g.Instances = min(max(o.instances, o.scaleMin), o.scaleMax)
-		}
-	}
-	s.Groups = []spec.Group{g}
-	if err := s.Validate(spec.CLI); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -248,24 +310,44 @@ func newFleet(s *spec.Spec, seed func(gi int) int64, trace bool) (fleet.Scenario
 	return sc, sup, err
 }
 
-// scheduleDrop lands the -drop-to budget change -drop-frac of the way
-// into round -drop-at: a mid-quantum cap event (none when -drop-to is
-// 0). It stays a flag on the built fleet because a spec describes a
-// fleet, not a stimulus: it has no field for a timed cap step.
-func scheduleDrop(sup *fleet.Supervisor, o options) {
-	if o.dropTo == 0 {
-		return
+// writeOutput creates the file at path and writes it with write.
+func writeOutput(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	at := time.Unix(0, 0).
-		Add(time.Duration(o.dropAt) * quantum).
-		Add(time.Duration(o.dropFrac * float64(quantum)))
-	sup.SetBudgetAt(at, o.dropTo)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeTrace writes the run's event-time trace to -trace, when given.
+func writeTrace(sup *fleet.Supervisor, o options, sep string) error {
+	if o.tracePath == "" {
+		return nil
+	}
+	events := sup.Trace()
+	if err := writeOutput(o.tracePath, func(w io.Writer) error { return fleet.WriteTraceCSV(w, events) }); err != nil {
+		return err
+	}
+	fmt.Printf("%swrote %d trace events to %s\n", sep, len(events), o.tracePath)
+	return nil
+}
+
+// faultsNote is the header's note of a -faults file.
+func faultsNote(o options) string {
+	if o.faultsPath == "" {
+		return ""
+	}
+	return ", faults from " + o.faultsPath
 }
 
 func run(o options) error {
-	if o.sweepPath != "" {
+	if o.mode == "sweep" {
 		rounds := 0
-		if o.roundsSet {
+		if o.set["rounds"] {
 			rounds = o.rounds
 		}
 		return sweep.Exec(sweep.ExecConfig{
@@ -285,12 +367,12 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	switch {
-	case o.serveAddr != "":
+	switch o.mode {
+	case "serve":
 		return runServe(o, s)
-	case o.scenarioPath != "":
+	case "scenario":
 		return runScenario(o, s)
-	case o.replayPath != "":
+	case "replay":
 		return runReplay(o, s)
 	}
 	// The group's own load draws from -seed, 0 included: only a spec
@@ -299,18 +381,8 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	faulted, err := applyFaults(sup, o)
-	if err != nil {
-		return err
-	}
-	scheduleDrop(sup, o)
-
-	chaos := ""
-	if faulted {
-		chaos = fmt.Sprintf(", faults from %s", o.faultsPath)
-	}
 	fmt.Printf("fleet: %d instances of %s on %d machines x %d cores, budget %s, %s load%s\n",
-		o.instances, o.app, o.machines, o.cores, watts(o.budget), o.load, chaos)
+		o.instances, o.app, o.machines, o.cores, watts(o.budget), o.load, faultsNote(o))
 	fmt.Printf("target heart rate: %.1f beats/sec per instance\n\n", sup.Target().Goal())
 	fmt.Printf("%5s | %7s | %7s | %-14s | %5s | %6s | %5s | %4s | %-17s\n",
 		"round", "budget", "power W", "GHz per host", "perf", "loss %", "queue", "done", "p50/p95/p99 s")
@@ -355,20 +427,8 @@ func run(o options) error {
 		}
 	}
 
-	if o.tracePath != "" {
-		f, err := os.Create(o.tracePath)
-		if err != nil {
-			return err
-		}
-		events := sup.Trace()
-		if err := fleet.WriteTraceCSV(f, events); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %d trace events to %s\n", len(events), o.tracePath)
+	if err := writeTrace(sup, o, "\n"); err != nil {
+		return err
 	}
 
 	// Close the loop against the analytic oracle for the saturating case.
@@ -400,10 +460,6 @@ func runReplay(o options, s *spec.Spec) error {
 		o.reqIters = 10
 	}
 	_, sup, err := newFleet(s, func(int) int64 { return o.seed }, o.tracePath != "")
-	if err != nil {
-		return err
-	}
-	faulted, err := applyFaults(sup, o)
 	if err != nil {
 		return err
 	}
@@ -441,14 +497,8 @@ func runReplay(o options, s *spec.Spec) error {
 	} else {
 		rates = fleet.Fig8Rates(o.rounds, o.rate, o.seed)
 	}
-	scheduleDrop(sup, o)
-
-	chaos := ""
-	if faulted {
-		chaos = fmt.Sprintf(", faults from %s", o.faultsPath)
-	}
 	fmt.Printf("replay: %s on %d machines x %d cores, budget %s, %d-round trace, p95 SLO %.2f s, instances [%d,%d], %d iters/request%s\n",
-		o.app, o.machines, o.cores, watts(o.budget), len(rates), o.sloP95, o.scaleMin, o.scaleMax, o.reqIters, chaos)
+		o.app, o.machines, o.cores, watts(o.budget), len(rates), o.sloP95, o.scaleMin, o.scaleMax, o.reqIters, faultsNote(o))
 	res, err := fleet.Replay(sup, fleet.ReplayConfig{
 		Rates:    rates,
 		Seed:     o.seed,
@@ -509,50 +559,18 @@ func runReplay(o options, s *spec.Spec) error {
 			pt.name, pt.rate, service, n, feas)
 	}
 
-	f, err := os.Create(o.replayPath)
-	if err != nil {
-		return err
-	}
-	if err := fleet.WriteReplayCSV(f, res.Points); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeOutput(o.replayPath, func(w io.Writer) error { return fleet.WriteReplayCSV(w, res.Points) }); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d replay rows to %s\n", len(res.Points), o.replayPath)
 
 	if o.plotPath != "" {
-		f, err := os.Create(o.plotPath)
-		if err != nil {
-			return err
-		}
-		if err := fleet.WriteReplaySVG(f, res.Points); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeOutput(o.plotPath, func(w io.Writer) error { return fleet.WriteReplaySVG(w, res.Points) }); err != nil {
 			return err
 		}
 		fmt.Printf("wrote replay figure to %s\n", o.plotPath)
 	}
-
-	if o.tracePath != "" {
-		f, err := os.Create(o.tracePath)
-		if err != nil {
-			return err
-		}
-		events := sup.Trace()
-		if err := fleet.WriteTraceCSV(f, events); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d trace events to %s\n", len(events), o.tracePath)
-	}
-	return nil
+	return writeTrace(sup, o, "")
 }
 
 func watts(w float64) string {

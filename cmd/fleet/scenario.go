@@ -7,31 +7,23 @@ package main
 
 import (
 	"fmt"
-	"os"
 
-	"repro/internal/fleet"
 	"repro/internal/spec"
 )
 
 // runScenario executes the validated -scenario spec s and prints the
 // per-round timeline with per-group columns plus per-group summaries.
+// A spec with caps gets a budget column.
 func runScenario(o options, s *spec.Spec) error {
 	// A group without a seed draws its arrivals from its index + 1.
 	_, sup, err := newFleet(s, func(gi int) int64 { return int64(gi) + 1 }, o.tracePath != "")
 	if err != nil {
 		return fmt.Errorf("scenario %s: %w", o.scenarioPath, err)
 	}
-	faulted, err := applyFaults(sup, o)
-	if err != nil {
-		return err
-	}
+	capped := len(s.Caps) > 0
 
-	chaos := ""
-	if faulted {
-		chaos = fmt.Sprintf(", faults from %s", o.faultsPath)
-	}
 	fmt.Printf("scenario: %d groups on %d machines x %d cores, budget %s%s\n",
-		len(s.Groups), s.Machines, s.Cores, watts(s.BudgetWatts()), chaos)
+		len(s.Groups), s.Machines, s.Cores, watts(s.BudgetWatts()), faultsNote(o))
 	for gi, g := range s.Groups {
 		auto := ""
 		if g.SLOP95 > 0 {
@@ -40,7 +32,11 @@ func runScenario(o options, s *spec.Spec) error {
 		fmt.Printf("  %-10s %d instances, target %.1f beats/s, pressure %.2f%s\n",
 			g.Name, g.Instances, sup.TargetOf(gi).Goal(), g.Pressure, auto)
 	}
-	fmt.Printf("\n%5s | %7s |", "round", "power W")
+	fmt.Printf("\n%5s |", "round")
+	if capped {
+		fmt.Printf(" %7s |", "budget")
+	}
+	fmt.Printf(" %7s |", "power W")
 	for _, g := range s.Groups {
 		fmt.Printf(" %-26s |", g.Name+" acc/arr/done/q/p95")
 	}
@@ -51,7 +47,11 @@ func runScenario(o options, s *spec.Spec) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%5d | %7.1f |", rs.Round, rs.PowerWatts)
+		fmt.Printf("%5d |", rs.Round)
+		if capped {
+			fmt.Printf(" %7s |", watts(rs.Budget))
+		}
+		fmt.Printf(" %7.1f |", rs.PowerWatts)
 		for _, gs := range rs.Groups {
 			fmt.Printf(" %3d %4d %4d %4d %6.2f |",
 				gs.Accepting, gs.Arrivals, gs.Completions, gs.QueueDepth, gs.LatencyP95)
@@ -70,21 +70,5 @@ func runScenario(o options, s *spec.Spec) error {
 	if err := reportResilience(rep.Resilience, o); err != nil {
 		return err
 	}
-
-	if o.tracePath != "" {
-		f, err := os.Create(o.tracePath)
-		if err != nil {
-			return err
-		}
-		events := sup.Trace()
-		if err := fleet.WriteTraceCSV(f, events); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %d trace events to %s\n", len(events), o.tracePath)
-	}
-	return nil
+	return writeTrace(sup, o, "\n")
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 
@@ -30,7 +29,6 @@ func runServe(o options, s *spec.Spec) error {
 	if err != nil {
 		return err
 	}
-	scheduleDrop(sup, o)
 	if o.reqIters == 0 {
 		// Serving queues per-request work items; a whole-stream request
 		// would occupy an instance for the entire run.
@@ -167,16 +165,8 @@ func runServe(o options, s *spec.Spec) error {
 		rep.P50Latency, rep.P95Latency, rep.P99Latency, rep.MeanPower, rep.TotalEnergyJ)
 
 	if o.latencyHist != "" {
-		f, err := os.Create(o.latencyHist)
-		if err != nil {
-			return err
-		}
 		lats := sup.AllLatencies()
-		if err := writeLatencyHistCSV(f, lats); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeOutput(o.latencyHist, func(w io.Writer) error { return writeLatencyHistCSV(w, lats) }); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %d-sample latency histogram to %s\n", len(lats), o.latencyHist)

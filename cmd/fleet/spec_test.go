@@ -2,10 +2,13 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/spec"
@@ -19,7 +22,7 @@ import (
 func TestSpecDecodingIsStrict(t *testing.T) {
 	decode := map[string]func(path string) error{
 		"scenario": func(path string) error {
-			_, err := flagSpec(options{scenarioPath: path})
+			_, err := flagSpec(options{mode: "scenario", scenarioPath: path})
 			return err
 		},
 		"faults": func(path string) error {
@@ -40,6 +43,7 @@ func TestSpecDecodingIsStrict(t *testing.T) {
 		{name: "typo crashRates", kind: "faults",
 			spec: `{"crashRates": 0.1}`, wantErr: `unknown field "crashRates"`},
 		{name: "fluid1024 example", kind: "scenario", path: "../../examples/scenario/fluid1024.json"},
+		{name: "fig7 example", kind: "scenario", path: "../../examples/scenario/fig7.json"},
 		{name: "chaos schedule example", kind: "faults", path: "../../examples/chaos/faults.json"},
 		{name: "chaos seeded example", kind: "faults", path: "../../examples/chaos/seeded.json"},
 	} {
@@ -71,9 +75,9 @@ const mixJSON = `{
   ]
 }`
 
-// parse parses a command line the way main does, with MIX standing for
-// a file holding mixJSON.
-func parse(t *testing.T, args string) options {
+// flagsSpec parses a command line the way main does, with MIX standing
+// for a file holding mixJSON, and returns the spec its flags describe.
+func flagsSpec(t *testing.T, args string) (*spec.Spec, error) {
 	t.Helper()
 	mix := filepath.Join(t.TempDir(), "mix.json")
 	if err := os.WriteFile(mix, []byte(mixJSON), 0o644); err != nil {
@@ -81,16 +85,17 @@ func parse(t *testing.T, args string) options {
 	}
 	o, err := parseFlags(flag.NewFlagSet("fleet", flag.ContinueOnError), strings.Fields(strings.ReplaceAll(args, "MIX", mix)))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return o
+	return flagSpec(o)
 }
 
 // TestFlagsPassSpecGuardRails holds every flag-driven mode to the
 // guard rails of a -scenario file: flagSpec, which builds nothing,
 // rejects each bad value with the spec's own message, and accepts the
 // command lines the README and CI run. An over-range -workers value
-// never reaches fleet.NewScenario.
+// never reaches fleet.NewScenario. A flag its mode does not read is an
+// error naming the flag and the mode.
 func TestFlagsPassSpecGuardRails(t *testing.T) {
 	for _, tc := range []struct {
 		args, wantErr string // wantErr "" = must validate
@@ -104,6 +109,16 @@ func TestFlagsPassSpecGuardRails(t *testing.T) {
 		{"-serve none -req-iters -2", "reqIters -2 outside"},
 		{"-scenario MIX -fluid -2", "fluid -2 < 0"},
 		{"-scenario MIX -workers 300", "workers 300 outside [0, 256]"},
+		{"-replay replay.csv -scale-min 0", "-scale-min 0, or -instances"},
+		{"-serve none -load warp", "flag -load is not read by -serve"},
+		{"-serve none -faults x.json", "flag -faults is not read by -serve"},
+		{"-serve none -trace t.csv", "flag -trace is not read by -serve"},
+		{"-scenario MIX -app swaptions", "flag -app is not read by -scenario"},
+		{"-replay replay.csv -load spike", "flag -load is not read by -replay"},
+		{"-sweep grid.json -machines 4", "flag -machines is not read by -sweep"},
+		{"-seed 3 -twin", "flag -twin is not read by the plain run"},
+		{"-scenario MIX -faults ../../examples/chaos/seeded.json -resilience r.csv", ""},
+		{"-resilience r.csv", "-resilience r.csv: the run has no faults"},
 
 		{"-rounds 10", ""},
 		{"-machines 128 -cores 1 -instances 128 -rounds 10 -budget 24320 -workers 4", ""},
@@ -117,7 +132,7 @@ func TestFlagsPassSpecGuardRails(t *testing.T) {
 		{"-serve none -duration 10s -swarm 12 -twin -drop-to 100 -drop-at 4 -latency-hist latency-hist.csv", ""},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
-			_, err := flagSpec(parse(t, tc.args))
+			_, err := flagsSpec(t, tc.args)
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatalf("want the flags to validate, got %v", err)
@@ -145,7 +160,7 @@ func TestFlagModesResolve(t *testing.T) {
 		{"-budget 350 -serve none", "web", 8, false, false},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
-			s, err := flagSpec(parse(t, tc.args))
+			s, err := flagsSpec(t, tc.args)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,5 +181,46 @@ func TestFlagModesResolve(t *testing.T) {
 				t.Errorf("budget %v, quantum %v; want 350 W and the 1 s default", sc.Budget, sc.Quantum)
 			}
 		})
+	}
+}
+
+// TestDropFlagsLandAsCaps pins where -drop-to/-drop-at/-drop-frac land:
+// one caps entry, appended after a -scenario file's own, whose instant
+// is exactly the one the flags scheduled before they became a spec
+// field, R quanta plus F of a quantum, for the (R, F) pairs the README,
+// CI and these tests run. A scenario without -drop-* keeps its own caps.
+func TestDropFlagsLandAsCaps(t *testing.T) {
+	for _, tc := range []struct {
+		mode string
+		r    int
+		f    float64
+	}{
+		{"", 20, 0.5},
+		{"", 4, 0},
+		{"-replay replay.csv", 2, 0},
+		{"-serve none", 4, 0},
+		{"-scenario MIX", 2, 0},
+	} {
+		args := fmt.Sprintf("%s -drop-to 100 -drop-at %d -drop-frac %v", tc.mode, tc.r, tc.f)
+		s, err := flagsSpec(t, args)
+		if err != nil {
+			t.Fatalf("%s: %v", args, err)
+		}
+		want := time.Unix(0, 0).Add(time.Duration(tc.r) * quantum).Add(time.Duration(tc.f * float64(quantum)))
+		if len(s.Caps) != 1 || s.Caps[0].Watts != 100 || !spec.At(s.Caps[0].AtS).Equal(want) {
+			t.Errorf("%s: caps %+v, want one 100 W cap at %v", args, s.Caps, want.Sub(time.Unix(0, 0)))
+		}
+	}
+	for args, want := range map[string][]spec.Cap{
+		"-scenario MIX": nil,
+		"-scenario ../../examples/scenario/fig7.json -drop-to 100 -drop-at 2": {{AtS: 10, Watts: 170}, {AtS: 30}, {AtS: 2, Watts: 100}},
+	} {
+		s, err := flagsSpec(t, args)
+		if err != nil {
+			t.Fatalf("%s: %v", args, err)
+		}
+		if !slices.Equal(s.Caps, want) {
+			t.Errorf("%s: caps %+v, want the file's, then the flags' %+v", args, s.Caps, want)
+		}
 	}
 }

@@ -22,18 +22,17 @@ import (
 	"repro/internal/workload"
 )
 
-// Consumer names who reads a spec. Both read one format, but each
-// accepts only the fields it owns besides the shared ones: a field the
-// other consumer owns is an error naming the field.
+// Consumer names who reads a spec. Both read one format and accept
+// every field but the few a grid owns itself: a grid sets the horizon
+// (its own rounds), runs only the synthetic app, and derives every
+// seed from the replication seed, so it rejects rounds, a group's app,
+// scale and seed, and the fault seed, naming the field.
 type Consumer int
 
 const (
 	// CLI is cmd/fleet: its flags and its -scenario and -faults files.
-	// It alone takes rounds, a group's app, scale and seed, and a fault
-	// seed and schedule.
 	CLI Consumer = iota
-	// Grid is a cell of a sweep grid. It alone takes arbiterIntervalMs
-	// and inline faults.
+	// Grid is a cell of a sweep grid.
 	Grid
 )
 
@@ -57,8 +56,8 @@ type Spec struct {
 	// Workers sizes the engine's shard worker pool (0 = GOMAXPROCS;
 	// results are bit-identical at any value).
 	Workers int `json:"workers"`
-	// ArbiterIntervalMs is the arbiter tick period in milliseconds (grid
-	// only; 0 = the 1 s control quantum).
+	// ArbiterIntervalMs is the arbiter tick period in milliseconds (0 =
+	// the 1 s control quantum).
 	ArbiterIntervalMs float64 `json:"arbiterIntervalMs"`
 	// Fluid is the hybrid fluid/discrete engine's queue-depth threshold
 	// (0 = pure discrete).
@@ -72,9 +71,11 @@ type Spec struct {
 	// contention-aware default over the groups' pressure values) or
 	// "uniform" (the oracle-validated time-multiplexing reference).
 	Interference string `json:"interference"`
-	// Faults is the inline fault model (grid only: the CLI reads faults
-	// from its -faults file). Nil injects nothing.
+	// Faults is the fault model. Nil injects nothing.
 	Faults *Faults `json:"faults"`
+	// Caps are timed cluster-budget changes, landed in order of AtS
+	// (ties in list order).
+	Caps []Cap `json:"caps"`
 	// Groups are the workload groups (required, unique names).
 	Groups []Group `json:"groups"`
 }
@@ -113,6 +114,14 @@ type Group struct {
 	ScaleMax int     `json:"scaleMax"`
 }
 
+// Cap is one timed budget change: from AtS virtual seconds after the
+// run epoch the cluster cap is Watts (<= 0 = unlimited, as for the
+// spec's budget).
+type Cap struct {
+	AtS   float64 `json:"atS"`
+	Watts float64 `json:"watts"`
+}
+
 // Faults is the fault model: the seeded stochastic model's parameters,
 // or an explicit schedule, which replaces the stochastic model when it
 // is non-empty.
@@ -142,7 +151,7 @@ type Faults struct {
 	SlowFactor float64 `json:"slowFactor"`
 	// SagFactor is the sag budget scale (0 = 0.6).
 	SagFactor float64 `json:"sagFactor"`
-	// Schedule pins explicit fault events (CLI only).
+	// Schedule pins explicit fault events.
 	Schedule []FaultEvent `json:"schedule"`
 }
 
@@ -183,6 +192,8 @@ const (
 	maxRate      = 1e5
 	minBaseCost  = 1e4
 	maxBaseCost  = 1e10
+	maxCaps      = 1024
+	maxCapAtS    = 1e6
 )
 
 // Decode decodes data, which must hold exactly one JSON object, into v.
@@ -212,12 +223,17 @@ func ReadScenario(path string) (*Spec, error) {
 	return &s, nil
 }
 
-// ReadFaults decodes and validates a cmd/fleet -faults file.
+// ReadFaults decodes and validates a cmd/fleet -faults file. Unlike an
+// inline model, which may sit idle, a -faults file exists to inject
+// something: without a schedule, some rate must be positive.
 func ReadFaults(path string) (*Faults, error) {
 	var f Faults
 	err := readFile(path, &f)
 	if err == nil {
 		err = f.validate(CLI)
+	}
+	if err == nil && len(f.Schedule) == 0 && f.CrashRate+f.RackRate+f.ThrottleRate+f.StragglerRate+f.SagRate == 0 {
+		err = errors.New("no schedule and every rate is zero; nothing would ever fail")
 	}
 	if err != nil {
 		return nil, fmt.Errorf("faults %s: %w", path, err)
@@ -254,12 +270,7 @@ func (s *Spec) Defaults() {
 // Validate checks s for consumer c. Every error names the offending
 // field.
 func (s *Spec) Validate(c Consumer) error {
-	switch {
-	case c == CLI && s.ArbiterIntervalMs != 0:
-		return notAccepted(c, "arbiterIntervalMs")
-	case c == CLI && s.Faults != nil:
-		return notAccepted(c, "faults")
-	case c == Grid && s.Rounds != 0:
+	if c == Grid && s.Rounds != 0 {
 		return notAccepted(c, "rounds")
 	}
 	if s.Machines < 1 || s.Machines > maxMachines {
@@ -288,6 +299,14 @@ func (s *Spec) Validate(c Consumer) error {
 	if s.Faults != nil {
 		if err := s.Faults.validate(c); err != nil {
 			return fmt.Errorf("faults: %w", err)
+		}
+	}
+	if len(s.Caps) > maxCaps {
+		return fmt.Errorf("%d caps, max %d", len(s.Caps), maxCaps)
+	}
+	for i, cp := range s.Caps {
+		if !(cp.AtS >= 0 && cp.AtS <= maxCapAtS) {
+			return fmt.Errorf("caps[%d] atS %v outside [0, %v]", i, cp.AtS, float64(maxCapAtS))
 		}
 	}
 	if len(s.Groups) == 0 {
@@ -352,13 +371,9 @@ func (g *Group) validate(c Consumer) error {
 }
 
 func (f *Faults) validate(c Consumer) error {
-	switch {
-	case c == Grid && f.Seed != 0:
+	if c == Grid && f.Seed != 0 {
 		return notAccepted(c, "seed")
-	case c == Grid && len(f.Schedule) > 0:
-		return notAccepted(c, "schedule")
 	}
-	anyRate := false
 	for _, r := range []struct {
 		name string
 		v    float64
@@ -370,7 +385,6 @@ func (f *Faults) validate(c Consumer) error {
 		if r.v < 0 || r.v > 100 {
 			return fmt.Errorf("%s %v outside [0, 100]", r.name, r.v)
 		}
-		anyRate = anyRate || r.v > 0
 	}
 	for _, d := range []struct {
 		name string
@@ -391,19 +405,15 @@ func (f *Faults) validate(c Consumer) error {
 			return fmt.Errorf("schedule[%d] has unknown kind %q (crash | throttle | straggler | sag)", i, e.Kind)
 		}
 	}
-	// A grid cell may carry an idle model; a -faults file exists to
-	// inject something.
-	if c == CLI && len(f.Schedule) == 0 && !anyRate {
-		return errors.New("no schedule and every rate is zero; nothing would ever fail")
-	}
 	return nil
 }
 
-// Clone deep-copies s, so the copy's groups, budget and faults can be
-// modified without touching s.
+// Clone deep-copies s, so the copy's groups, budget, caps and faults
+// can be modified without touching s.
 func (s Spec) Clone() Spec {
 	out := s
 	out.Groups = append([]Group(nil), s.Groups...)
+	out.Caps = append([]Cap(nil), s.Caps...)
 	if s.Budget != nil {
 		b := *s.Budget
 		out.Budget = &b
@@ -475,12 +485,15 @@ func (s *Spec) Scenario(resolve Resolver, seed func(gi int) int64, trace bool) (
 }
 
 // Build constructs the fleet sc describes, sc being what Scenario
-// resolved s to, and attaches the autoscaler of each group with a
-// scaleMax.
+// resolved s to, schedules the spec's caps, and attaches the autoscaler
+// of each group with a scaleMax.
 func (s *Spec) Build(sc fleet.Scenario) (*fleet.Supervisor, error) {
 	sup, err := fleet.NewScenario(sc)
 	if err != nil {
 		return nil, err
+	}
+	for _, cp := range s.Caps {
+		sup.SetBudgetAt(At(cp.AtS), cp.Watts)
 	}
 	// Groups with sloP95 already got the default autoscaler from
 	// NewScenario; only an explicit scaleMax needs the override.
@@ -520,6 +533,12 @@ func (g *Group) load(seed int64) *fleet.LoadGen {
 	return gen.WithRequestIters(g.ReqIters)
 }
 
+// At is the virtual instant sec seconds after the run epoch, as caps and
+// fault events land it: the duration truncates to whole nanoseconds.
+func At(sec float64) time.Time {
+	return time.Unix(0, 0).Add(time.Duration(sec * float64(time.Second)))
+}
+
 // Options is the fault model as fleet.FaultOptions: the explicit
 // schedule when there is one, the seeded stochastic model otherwise.
 func (f *Faults) Options() fleet.FaultOptions {
@@ -535,7 +554,7 @@ func (f *Faults) Options() fleet.FaultOptions {
 				instance = *e.Instance
 			}
 			fs = append(fs, fleet.FaultEvent{
-				At:       time.Unix(0, 0).Add(time.Duration(e.AtS * float64(time.Second))),
+				At:       At(e.AtS),
 				Kind:     faultKinds[e.Kind],
 				Duration: time.Duration(e.DurationS * float64(time.Second)),
 				Host:     host,

@@ -14,14 +14,17 @@ import (
 // runs through cmd/fleet's reader (-scenario, or -faults for a faults
 // row) and, as a grid's base cell (a faults row inline under "faults"),
 // through sweep.ParseGrid. A row owned by one consumer must be rejected
-// there, naming the field, and accepted by the other.
+// there, naming the field, and accepted by the other; a field both
+// consumers take must be accepted by both.
 func TestRejects(t *testing.T) {
 	const (
 		both     = iota
 		cliOnly  // rejected by -scenario / -faults only
 		gridOnly // rejected by a grid only
+		neither  // accepted by both
 	)
 	const group = `"groups": [{"name": "a", "instances": 1}]`
+	tooManyCaps := `{"caps": [` + strings.Repeat(`{"atS": 1, "watts": 100}, `, 1024) + `{"atS": 2, "watts": 0}], ` + group + `}`
 	for _, tc := range []struct {
 		name   string
 		spec   string // a fleet spec, or
@@ -42,6 +45,9 @@ func TestRejects(t *testing.T) {
 		{name: "tiny baseCost", spec: `{"groups": [{"name": "a", "instances": 1, "baseCost": 10}]}`, want: "baseCost"},
 		{name: "huge machines", spec: `{"machines": 5000, ` + group + `}`, want: "machines"},
 		{name: "retired epochDispatch", spec: `{"epochDispatch": true, ` + group + `}`, want: `unknown field "epochDispatch"`},
+		{name: "negative cap atS", spec: `{"caps": [{"atS": -1, "watts": 100}], ` + group + `}`, want: "caps[0] atS -1 outside [0, 1e+06]"},
+		{name: "cap atS past 1e6 s", spec: `{"caps": [{"atS": 5, "watts": 100}, {"atS": 2e6, "watts": 0}], ` + group + `}`, want: "caps[1] atS 2e+06 outside [0, 1e+06]"},
+		{name: "more than 1024 caps", spec: tooManyCaps, want: "1025 caps, max 1024"},
 		{name: "huge crashRate", faults: `{"crashRate": 1000}`, want: "crashRate"},
 		{name: "negative meanOutageS", faults: `{"crashRate": 0.1, "meanOutageS": -1}`, want: "meanOutageS"},
 		{name: "typo crashRates", faults: `{"crashRates": 0.1}`, want: `unknown field "crashRates"`},
@@ -50,9 +56,10 @@ func TestRejects(t *testing.T) {
 		{name: "grid group seed", spec: `{"groups": [{"name": "a", "instances": 1, "seed": 3}]}`, by: gridOnly, want: `"seed"`},
 		{name: "grid rounds", spec: `{"rounds": 5, ` + group + `}`, by: gridOnly, want: `"rounds"`},
 		{name: "grid fault seed", faults: `{"crashRate": 0.1, "seed": 7}`, by: gridOnly, want: `"seed"`},
-		{name: "grid fault schedule", faults: `{"schedule": [{"kind": "crash", "host": 0, "atS": 1, "durationS": 1}]}`, by: gridOnly, want: `"schedule"`},
-		{name: "scenario arbiterIntervalMs", spec: `{"arbiterIntervalMs": 250, ` + group + `}`, by: cliOnly, want: `"arbiterIntervalMs"`},
-		{name: "scenario inline faults", spec: `{"faults": {"crashRate": 0.1}, ` + group + `}`, by: cliOnly, want: `"faults"`},
+		{name: "grid fault schedule", faults: `{"schedule": [{"kind": "crash", "host": 0, "atS": 1, "durationS": 1}]}`, by: neither},
+		{name: "scenario arbiterIntervalMs", spec: `{"arbiterIntervalMs": 250, ` + group + `}`, by: neither},
+		{name: "scenario inline faults", spec: `{"faults": {"crashRate": 0.1}, ` + group + `}`, by: neither},
+		{name: "caps", spec: `{"caps": [{"atS": 0, "watts": 100}, {"atS": 1e6, "watts": 0}], ` + group + `}`, by: neither},
 		{name: "faults file injects nothing", faults: `{"redispatch": true}`, by: cliOnly, want: "every rate is zero"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,9 +79,9 @@ func TestRejects(t *testing.T) {
 			if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			check(t, "cmd/fleet", read(), tc.by != gridOnly, tc.want)
+			check(t, "cmd/fleet", read(), tc.by == both || tc.by == cliOnly, tc.want)
 			_, err := sweep.ParseGrid([]byte(`{"rounds": 5, "base": ` + base + `}`))
-			check(t, "sweep grid", err, tc.by != cliOnly, tc.want)
+			check(t, "sweep grid", err, tc.by == both || tc.by == gridOnly, tc.want)
 		})
 	}
 }

@@ -49,8 +49,8 @@ type Grid struct {
 // takes. Integer-valued parameters reject fractional values.
 //
 // Fleet-level parameters: machines, cores, workers, fluid, budget,
-// arbiterIntervalMs, rateScale, budgetDropTo, budgetDropRound,
-// faultSeed. Group-scoped parameters are "<group>.<field>" with field
+// arbiterIntervalMs, rateScale, capWatts, capAtS (the watts and atS of
+// the cell's first caps entry), faultSeed. Group-scoped parameters are "<group>.<field>" with field
 // one of rate, instances, reqIters, pressure, sloP95, scaleMax,
 // baseCost (e.g. "web.rate").
 type Axis struct {
@@ -59,20 +59,14 @@ type Axis struct {
 }
 
 // Cell is one grid cell: a fleet spec (internal/spec, validated for
-// spec.Grid: synthetic apps only, derived seeds, inline seeded faults)
-// plus the sweep-only fields — the arrival-mix scale, the mid-run
-// budget-drop stimulus the arbitration study measures cap response
-// against, and the fault seed.
+// spec.Grid: synthetic apps only, derived seeds) plus the sweep-only
+// fields, the arrival-mix scale and the fault seed. The spec's first
+// caps entry is the stimulus Stat.CapResponseS measures against.
 type Cell struct {
 	spec.Spec
 	// RateScale multiplies every open-loop group's arrival rate
 	// (0 = 1) — the arrival-mix axis.
 	RateScale float64 `json:"rateScale"`
-	// BudgetDropTo, when > 0, schedules a budget change to that many
-	// watts landing halfway into round BudgetDropRound — the cap
-	// stimulus whose response latency Stat.CapResponseS measures.
-	BudgetDropTo    float64 `json:"budgetDropTo"`
-	BudgetDropRound int     `json:"budgetDropRound"`
 	// FaultSeed pins the fault-model seed for every replication of the
 	// cell (0 derives a fresh fault seed per replication from the
 	// replication seed).
@@ -164,12 +158,6 @@ func (c *Cell) validate() error {
 	if c.RateScale < 0 || c.RateScale > 1e3 {
 		return fmt.Errorf("rateScale %v outside [0, 1000]", c.RateScale)
 	}
-	if c.BudgetDropTo < 0 {
-		return fmt.Errorf("budgetDropTo %v < 0", c.BudgetDropTo)
-	}
-	if c.BudgetDropTo > 0 && (c.BudgetDropRound < 0 || c.BudgetDropRound > maxRounds) {
-		return fmt.Errorf("budgetDropRound %d outside [0, %d]", c.BudgetDropRound, maxRounds)
-	}
 	return nil
 }
 
@@ -234,14 +222,15 @@ func applyParam(c *Cell, param string, v float64) error {
 		c.ArbiterIntervalMs = v
 	case "rateScale":
 		c.RateScale = v
-	case "budgetDropTo":
-		c.BudgetDropTo = v
-	case "budgetDropRound":
-		n, err := asInt(param, v)
-		if err != nil {
-			return err
+	case "capWatts", "capAtS":
+		if len(c.Caps) == 0 {
+			return fmt.Errorf("sweep: axis %q needs a caps entry in the base cell", param)
 		}
-		c.BudgetDropRound = n
+		if param == "capWatts" {
+			c.Caps[0].Watts = v
+		} else {
+			c.Caps[0].AtS = v
+		}
 	case "faultSeed":
 		n, err := asInt(param, v)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/calibrate"
 	"repro/internal/fleet"
@@ -53,10 +52,10 @@ type Stat struct {
 	FaultsLanded int
 	Redispatched int
 
-	// CapResponseS is the seconds from the mid-quantum budget drop
+	// CapResponseS is the seconds from the cell's first cap change
 	// until the close of the first round whose p95 returned to the
-	// pre-drop mean p95; rounds-after-drop (censored) when it never
-	// recovers, -1 when the cell schedules no drop.
+	// pre-change mean p95; the seconds left in the run (censored) when
+	// it never recovers, -1 when the cell schedules no cap change.
 	CapResponseS float64
 
 	// Groups are the per-group slices, in cell declaration order.
@@ -260,20 +259,10 @@ func runReplication(g *Grid, cell Cell, ci, rep, rounds, warmup int, profiles *p
 	if err != nil {
 		return Stat{}, err
 	}
-	const quantum = time.Second
-	dropRound := -1
-	if cell.BudgetDropTo > 0 {
-		dropRound = cell.BudgetDropRound
-		at := time.Unix(0, 0).
-			Add(time.Duration(dropRound) * quantum).
-			Add(quantum / 2)
-		sup.SetBudgetAt(at, cell.BudgetDropTo)
-	}
 	if err := sup.Run(nil, rounds); err != nil {
 		return Stat{}, err
 	}
-	rep2 := sup.Report()
-	st := extractStat(cell, rep2, warmup, dropRound)
+	st := extractStat(cell, sup.Report(), warmup)
 	st.Cell, st.Rep, st.Seed = ci, rep, seed
 	st.MeanPower = sup.MeanPowerOver(warmup, rounds)
 	st.ScaleActions = sup.ScaleMoves()
@@ -282,7 +271,7 @@ func runReplication(g *Grid, cell Cell, ci, rep, rounds, warmup int, profiles *p
 }
 
 // extractStat reduces a fleet report to the replication's Stat row.
-func extractStat(cell Cell, rep fleet.Report, warmup, dropRound int) Stat {
+func extractStat(cell Cell, rep fleet.Report, warmup int) Stat {
 	st := Stat{
 		Completions:  rep.Completions,
 		Aborted:      rep.Aborted,
@@ -336,18 +325,19 @@ func extractStat(cell Cell, rep fleet.Report, warmup, dropRound int) Stat {
 		}
 		st.Groups = append(st.Groups, gs)
 	}
-	if dropRound >= 0 && dropRound < len(rep.Rounds) {
-		st.CapResponseS = capResponse(rep.Rounds, warmup, dropRound)
+	if len(cell.Caps) > 0 && cell.Caps[0].AtS < float64(len(rep.Rounds)) {
+		st.CapResponseS = capResponse(rep.Rounds, warmup, cell.Caps[0].AtS)
 	}
 	return st
 }
 
 // capResponse measures how long the fleet's tail latency took to return
-// to its pre-drop level after the mid-quantum budget drop: seconds from
-// the drop instant (halfway into dropRound) to the close of the first
-// subsequent round whose p95 is back at or below the pre-drop mean p95.
-// Censored at the run end when it never recovers.
-func capResponse(rounds []fleet.RoundStats, warmup, dropRound int) float64 {
+// to its pre-change level after the cap change at atS seconds: seconds
+// from that instant to the close of the first round from the change's
+// round on whose p95 is back at or below the mean p95 of the rounds
+// before it. Censored at the run end when it never recovers.
+func capResponse(rounds []fleet.RoundStats, warmup int, atS float64) float64 {
+	dropRound := int(atS)
 	var pre float64
 	n := 0
 	for r := warmup; r < dropRound && r < len(rounds); r++ {
@@ -362,10 +352,10 @@ func capResponse(rounds []fleet.RoundStats, warmup, dropRound int) float64 {
 	pre /= float64(n)
 	for r := dropRound; r < len(rounds); r++ {
 		if rounds[r].LatencyP95 <= pre {
-			return float64(r-dropRound) + 0.5
+			return float64(r+1) - atS
 		}
 	}
-	return float64(len(rounds)-dropRound) - 0.5
+	return float64(len(rounds)) - atS
 }
 
 // Metric is one aggregated column: a name and its per-replication

@@ -36,7 +36,7 @@ func compareGolden(t *testing.T, name string, got []byte) {
 }
 
 // testGridJSON is a small two-axis grid exercising axis application,
-// the budget-drop stimulus, and group-scoped axes.
+// a mid-quantum cap step, and group-scoped axes.
 const testGridJSON = `{
   "name": "test-grid",
   "baseSeed": 42,
@@ -47,8 +47,7 @@ const testGridJSON = `{
     "machines": 2,
     "cores": 2,
     "budget": 400,
-    "budgetDropTo": 340,
-    "budgetDropRound": 6,
+    "caps": [{"atS": 6.5, "watts": 340}],
     "groups": [
       {"name": "web", "baseCost": 3000000, "instances": 2, "rate": 3, "reqIters": 20},
       {"name": "batch", "baseCost": 6000000, "instances": 2, "rate": 1, "reqIters": 20}
@@ -234,6 +233,9 @@ func TestParseGridRejects(t *testing.T) {
 		{"huge replications", `{"rounds": 5, "replications": 99999999, "base": {"groups": [{"name": "a", "instances": 1}]}}`, "replications"},
 		{"huge rate", `{"rounds": 5, "base": {"groups": [{"name": "a", "instances": 1, "rate": 1e9}]}}`, "rate"},
 		{"tiny baseCost", `{"rounds": 5, "base": {"groups": [{"name": "a", "instances": 1, "baseCost": 10}]}}`, "baseCost"},
+		{"negative cap atS", `{"rounds": 5, "base": {"caps": [{"atS": -0.5, "watts": 300}], "groups": [{"name": "a", "instances": 1}]}}`, "caps[0] atS"},
+		{"cap axis without caps", `{"rounds": 5, "base": {"groups": [{"name": "a", "instances": 1}]}, "axes": [{"param": "capWatts", "values": [300]}]}`, "needs a caps entry"},
+		{"capAtS axis past bound", `{"rounds": 5, "base": {"caps": [{"atS": 2.5, "watts": 300}], "groups": [{"name": "a", "instances": 1}]}, "axes": [{"param": "capAtS", "values": [1, 2e6]}]}`, "caps[0] atS 2e+06"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
