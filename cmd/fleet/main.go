@@ -112,7 +112,10 @@ var modes = []struct{ flag, reads string }{
 
 // parseFlags parses args with fs into options and picks the mode. A
 // flag given outside the mode's set is an error naming the flag and
-// the mode. -scale-max 0 becomes the total cluster core count.
+// the mode, and so is a flag the mode reads only beside another one:
+// -drop-at/-drop-frac without -drop-to, and -serve's scale bounds
+// without -twin. -scale-max 0 becomes the total cluster core count,
+// and the bounds must not cross.
 func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
 	fs.StringVar(&o.app, "app", "synthetic", "workload: synthetic | swaptions | x264 | bodytrack | swish++")
@@ -142,8 +145,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&o.faultsPath, "faults", "", "inject faults from this JSON spec (seeded crash/rack-outage/throttle/straggler/sag rates, or an explicit schedule)")
 	fs.StringVar(&o.resiliencePath, "resilience", "", "write the per-fault resilience CSV here (requires -faults or a scenario's inline faults)")
 	fs.Float64Var(&o.sloP95, "slo-p95", 1.2, "p95 request-latency SLO in seconds the replay autoscaler provisions for")
-	fs.IntVar(&o.scaleMin, "scale-min", 1, "replay autoscaler lower instance bound")
-	fs.IntVar(&o.scaleMax, "scale-max", 0, "replay autoscaler upper instance bound (0 = total cluster cores)")
+	fs.IntVar(&o.scaleMin, "scale-min", 1, "autoscaler lower instance bound (-replay, and -serve with -twin)")
+	fs.IntVar(&o.scaleMax, "scale-max", 0, "autoscaler upper instance bound (-replay, and -serve with -twin; 0 = total cluster cores)")
 	fs.StringVar(&o.serveAddr, "serve", "", "run as a live wall-clock server: HTTP gateway address (e.g. :8080), or 'none' for the in-process -swarm only")
 	fs.DurationVar(&o.duration, "duration", 30*time.Second, "with -serve: wall-clock time to serve (one round per quantum)")
 	fs.Float64Var(&o.swarm, "swarm", 0, "with -serve: in-process open-loop client swarm rate in requests/sec (0 = none)")
@@ -180,6 +183,19 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	})
 	if o.scaleMax <= 0 {
 		o.scaleMax = o.machines * o.cores
+	}
+	scaleSet := o.set["scale-min"] || o.set["scale-max"]
+	switch {
+	case err != nil:
+	case o.dropTo == 0 && (o.set["drop-at"] || o.set["drop-frac"]):
+		err = fmt.Errorf("-drop-at and -drop-frac place a cap step: give it a non-zero -drop-to")
+	case m.flag == "serve" && !o.twin && scaleSet:
+		err = fmt.Errorf("-scale-min and -scale-max bound the twin's autoscaler: -serve reads them only with -twin")
+	case scaleSet && o.scaleMin > o.scaleMax:
+		err = fmt.Errorf("-scale-min %d exceeds -scale-max %d", o.scaleMin, o.scaleMax)
+		if !o.set["scale-max"] {
+			err = fmt.Errorf("%w, the default: the cluster's cores", err)
+		}
 	}
 	return o, err
 }

@@ -117,6 +117,16 @@ func TestFlagsPassSpecGuardRails(t *testing.T) {
 		{"-replay replay.csv -load spike", "flag -load is not read by -replay"},
 		{"-sweep grid.json -machines 4", "flag -machines is not read by -sweep"},
 		{"-seed 3 -twin", "flag -twin is not read by the plain run"},
+		{"-rounds 10 -drop-at 5 -drop-frac 0.5", "give it a non-zero -drop-to"},
+		{"-drop-to 0 -drop-at 5", "give it a non-zero -drop-to"},
+		{"-scenario MIX -drop-frac 0.5", "give it a non-zero -drop-to"},
+		{"-serve none -duration 1s -scale-min 3 -scale-max 2", "-serve reads them only with -twin"},
+		{"-serve none -scale-max 2", "-serve reads them only with -twin"},
+		{"-serve none -twin -scale-min 3 -scale-max 2", "-scale-min 3 exceeds -scale-max 2"},
+		{"-replay replay.csv -scale-min 3 -scale-max 2", "-scale-min 3 exceeds -scale-max 2"},
+		{"-replay replay.csv -scale-min 5", "-scale-min 5 exceeds -scale-max 4, the default"},
+		{"-replay replay.csv -scale-min 2 -scale-max 2", ""},
+		{"-serve none -twin -scale-max 3", ""},
 		{"-scenario MIX -faults ../../examples/chaos/seeded.json -resilience r.csv", ""},
 		{"-resilience r.csv", "-resilience r.csv: the run has no faults"},
 

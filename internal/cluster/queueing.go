@@ -184,244 +184,6 @@ func PlanInstances(lambda, service, p, target float64, max int) (n int, ok bool)
 	return max, false
 }
 
-// WaitDist is the exact M/G/1 waiting-time distribution for a service
-// time that is a discrete mixture of deterministic classes — the
-// generalization of MD1.WaitCDF that heterogeneous work-item mixes
-// (MixMG1 stations) need for p95 SLO arithmetic, and the oracle the
-// fluid engine's re-materialization accuracy is checked against.
-//
-// The stationary waiting time W of an M/G/1 queue satisfies the
-// defective renewal (Takács/Beneš) equation
-//
-//	P(W ≤ t) = (1−ρ) + λ·∫₀ᵗ P(W ≤ t−x)·(1−B(x)) dx
-//
-// where B is the service CDF. For a discrete mixture (class i with
-// probability pᵢ = λᵢ/λ and deterministic service Sᵢ) the kernel
-// integral collapses to prefix integrals of the unknown itself,
-//
-//	P(W ≤ t) = (1−ρ) + λ·Σᵢ pᵢ·[ I(t) − I(t−Sᵢ) ],  I(t) = ∫₀ᵗ P(W ≤ u) du
-//
-// which a uniform grid with trapezoidal prefix integrals solves to
-// O(h²) in one forward sweep (each grid value is linear in itself
-// through the I(t) term, so the sweep stays explicit). The grid grows
-// lazily as CDF and quantile queries reach further into the tail.
-type WaitDist struct {
-	classes []ServiceClass // positive-rate classes, as given
-	lambda  float64        // summed arrival rate
-	rho     float64        // offered load λ·E[S]
-	meanS   float64        // E[S]
-
-	h  float64   // grid step (a fraction of the shortest service time)
-	w  []float64 // w[k] = P(W ≤ k·h)
-	iw []float64 // iw[k] = ∫₀^{k·h} P(W ≤ u) du (trapezoid)
-}
-
-// waitDistGridPerService sets the grid resolution: steps per shortest
-// service time. 64 keeps the trapezoid's O(h²) error orders below the
-// oracle tolerances the fleet tests use.
-const waitDistGridPerService = 64
-
-// waitDistMaxPoints caps lazy grid growth (≈ 2²² points) so a quantile
-// query on a pathologically heavy tail fails loudly (+Inf) instead of
-// allocating without bound.
-const waitDistMaxPoints = 1 << 22
-
-// NewWaitDist builds the waiting-time distribution of the M/G/1
-// station serving the superposition of the given deterministic classes
-// (zero-rate classes are ignored, as in MixMG1). It errors when no
-// load is offered, a service time is non-positive, or the station is
-// unstable (ρ ≥ 1 — no stationary waiting time exists).
-func NewWaitDist(classes ...ServiceClass) (*WaitDist, error) {
-	d := &WaitDist{}
-	minS := math.Inf(1)
-	for _, c := range classes {
-		if c.Lambda < 0 {
-			return nil, fmt.Errorf("cluster: WaitDist class rate %v < 0", c.Lambda)
-		}
-		if c.Lambda == 0 {
-			continue
-		}
-		if c.Service <= 0 {
-			return nil, fmt.Errorf("cluster: WaitDist class service %v <= 0", c.Service)
-		}
-		d.classes = append(d.classes, c)
-		d.lambda += c.Lambda
-		if c.Service < minS {
-			minS = c.Service
-		}
-	}
-	if d.lambda <= 0 {
-		return nil, fmt.Errorf("cluster: WaitDist requires at least one positive-rate class")
-	}
-	for _, c := range d.classes {
-		d.meanS += c.Lambda / d.lambda * c.Service
-	}
-	d.rho = d.lambda * d.meanS
-	if d.rho >= 1 {
-		return nil, fmt.Errorf("cluster: WaitDist unstable (rho %.4f >= 1)", d.rho)
-	}
-	d.h = minS / waitDistGridPerService
-	d.w = append(d.w, 1-d.rho) // P(W = 0) atom: an arrival finding the server idle
-	d.iw = append(d.iw, 0)
-	return d, nil
-}
-
-// Rho returns the offered load λ·E[S].
-func (d *WaitDist) Rho() float64 { return d.rho }
-
-// interpIW linearly interpolates the prefix integral I(x); x never
-// reaches the frontier point being solved (the shortest service time
-// spans waitDistGridPerService grid steps).
-func (d *WaitDist) interpIW(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	j := int(x / d.h)
-	if j >= len(d.iw)-1 {
-		j = len(d.iw) - 2
-	}
-	frac := x/d.h - float64(j)
-	return d.iw[j] + frac*(d.iw[j+1]-d.iw[j])
-}
-
-// extend grows the grid to cover t (plus one point for interpolation).
-func (d *WaitDist) extend(t float64) {
-	need := int(t/d.h) + 2
-	for k := len(d.w); k < need && k < waitDistMaxPoints; k++ {
-		tk := float64(k) * d.h
-		// W_k·(1 − λh/2) = (1−ρ) + λ·Σᵢ pᵢ·[ I_{k−1} + (h/2)·W_{k−1} − I(t_k−Sᵢ) ]
-		sum := 0.0
-		for _, c := range d.classes {
-			p := c.Lambda / d.lambda
-			sum += p * (d.iw[k-1] + d.h/2*d.w[k-1] - d.interpIW(tk-c.Service))
-		}
-		wk := ((1 - d.rho) + d.lambda*sum) / (1 - d.lambda*d.h/2)
-		// The CDF is nondecreasing and bounded; clamp roundoff drift.
-		if wk < d.w[k-1] {
-			wk = d.w[k-1]
-		}
-		if wk > 1 {
-			wk = 1
-		}
-		d.w = append(d.w, wk)
-		d.iw = append(d.iw, d.iw[k-1]+d.h/2*(d.w[k-1]+wk))
-	}
-}
-
-// WaitCDF returns P(W ≤ t), the stationary probability an arrival
-// waits at most t seconds before service begins.
-func (d *WaitDist) WaitCDF(t float64) float64 {
-	if t < 0 {
-		return 0
-	}
-	d.extend(t)
-	k := int(t / d.h)
-	if k >= len(d.w)-1 {
-		return d.w[len(d.w)-1]
-	}
-	frac := t/d.h - float64(k)
-	return clamp01(d.w[k] + frac*(d.w[k+1]-d.w[k]))
-}
-
-// WaitQuantile returns the p-quantile of the waiting time (the
-// smallest t with P(W ≤ t) ≥ p), +Inf for p ≥ 1 or when the grid cap
-// is reached before the tail accumulates to p.
-func (d *WaitDist) WaitQuantile(p float64) float64 {
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	if p <= d.w[0] {
-		return 0
-	}
-	for d.w[len(d.w)-1] < p {
-		if len(d.w) >= waitDistMaxPoints {
-			return math.Inf(1)
-		}
-		d.extend(2 * d.h * float64(len(d.w)))
-	}
-	// Binary search the first grid value ≥ p, then invert the linear
-	// segment.
-	lo, hi := 0, len(d.w)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d.w[mid] < p {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	k := lo
-	if k == 0 {
-		return 0
-	}
-	frac := 0.0
-	if d.w[k] > d.w[k-1] {
-		frac = (p - d.w[k-1]) / (d.w[k] - d.w[k-1])
-	}
-	return (float64(k-1) + frac) * d.h
-}
-
-// SojournCDF returns P(W + S ≤ t): the waiting-time CDF mixed over the
-// service classes (wait and service are independent in M/G/1).
-func (d *WaitDist) SojournCDF(t float64) float64 {
-	sum := 0.0
-	for _, c := range d.classes {
-		sum += c.Lambda / d.lambda * d.WaitCDF(t-c.Service)
-	}
-	return clamp01(sum)
-}
-
-// SojournQuantile returns the p-quantile of the sojourn time (wait
-// plus service), found by bisection over SojournCDF.
-func (d *WaitDist) SojournQuantile(p float64) float64 {
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	lo, hi := 0.0, d.meanS
-	for d.SojournCDF(hi) < p {
-		lo, hi = hi, hi*2
-		if hi > 1e9*d.meanS {
-			return math.Inf(1)
-		}
-	}
-	for i := 0; i < 64; i++ {
-		mid := (lo + hi) / 2
-		if d.SojournCDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
-// PlanInstancesMix returns the smallest instance count n ≤ max such
-// that splitting every class's offered load evenly across n
-// independent M/G/1 stations keeps each station stable with its
-// p-quantile sojourn time within target seconds — PlanInstances
-// generalized to mixed work-item classes, using the exact waiting-time
-// distribution rather than a mean-value bound. ok is false when even
-// max instances cannot meet the objective.
-func PlanInstancesMix(classes []ServiceClass, p, target float64, max int) (n int, ok bool) {
-	if max < 1 || len(classes) == 0 || p <= 0 || p >= 1 || target <= 0 {
-		return max, false
-	}
-	for n := 1; n <= max; n++ {
-		split := make([]ServiceClass, len(classes))
-		for i, c := range classes {
-			split[i] = ServiceClass{Lambda: c.Lambda / float64(n), Service: c.Service}
-		}
-		d, err := NewWaitDist(split...)
-		if err != nil {
-			continue // unstable at this split
-		}
-		if d.SojournQuantile(p) <= target {
-			return n, true
-		}
-	}
-	return max, false
-}
-
 // QueueingPrediction is the oracle's event-time steady state for an
 // open-loop offered load: per-instance M/D/1 queueing plus the
 // partial-utilization cluster power at that load.

@@ -61,10 +61,9 @@ type RuntimeConfig struct {
 // PowerDial control.
 //
 // One goroutine at a time drives the run (RunStream or Session.Step)
-// and owns the beat state; the lifecycle methods — Pause, Resume,
-// Drain, Snapshot — may be called concurrently from a supervisor
-// goroutine, which is how the fleet supervisor manages resident
-// instances.
+// and owns the beat state; Snapshot, Gain, CurrentPlanLoss and Trace
+// may be called concurrently from another goroutine, which is how the
+// fleet supervisor observes resident instances.
 type Runtime struct {
 	sys     *System
 	mach    *platform.Machine
@@ -78,24 +77,15 @@ type Runtime struct {
 	baseline knobs.Setting
 	hook     func(int)
 
-	// mu guards trace, the writes of sch, and the writes of state;
-	// cond (on mu) wakes a beat blocked by Pause. The stepping
-	// goroutine reads sch without mu, because it is sch's only writer;
-	// current is read and written by the stepping goroutine alone.
+	// mu guards trace and the writes of sch. The stepping goroutine
+	// reads sch without mu, because it is sch's only writer; current is
+	// read and written by the stepping goroutine alone.
 	mu      sync.Mutex
-	cond    *sync.Cond
 	sch     control.Schedule
 	current knobs.Setting
 	beats   atomic.Int64
 	trace   []TracePoint
-	state   atomic.Uint32 // statePaused | stateDraining
 }
-
-// Bits of Runtime.state. A steady beat loads the word once and finds 0.
-const (
-	statePaused uint32 = 1 << iota
-	stateDraining
-)
 
 // BaselineCostPerBeat measures the mean work units per iteration of the
 // application at its baseline setting over the given input set — the
@@ -179,7 +169,6 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 		baseline: space.Default(),
 		hook:     cfg.BeatHook,
 	}
-	rt.cond = sync.NewCond(&rt.mu)
 	rt.sch = control.BuildSchedule(act.PlanFor(1), cfg.QuantumBeats)
 	return rt, nil
 }
@@ -209,37 +198,6 @@ func (rt *Runtime) Gain() float64 {
 	return rt.sch.Plan().ExpectedSpeedup()
 }
 
-// Pause makes the driving goroutine block at the next beat boundary
-// (mid-beat work always completes: beats are the runtime's atomic unit).
-// Pausing an already-paused runtime is a no-op.
-func (rt *Runtime) Pause() {
-	rt.mu.Lock()
-	rt.state.Store(rt.state.Load() | statePaused)
-	rt.mu.Unlock()
-}
-
-// Resume releases a Pause.
-func (rt *Runtime) Resume() {
-	rt.mu.Lock()
-	rt.state.Store(rt.state.Load() &^ statePaused)
-	rt.mu.Unlock()
-	rt.cond.Broadcast()
-}
-
-// Drain asks the runtime to stop at the next beat boundary: the active
-// session (or RunStream) finishes early with whatever output the stream
-// has accumulated, and subsequent sessions complete immediately. Drain
-// wakes a paused runtime so it can wind down.
-func (rt *Runtime) Drain() {
-	rt.mu.Lock()
-	rt.state.Store(rt.state.Load() | stateDraining)
-	rt.mu.Unlock()
-	rt.cond.Broadcast()
-}
-
-// Draining reports whether Drain has been requested.
-func (rt *Runtime) Draining() bool { return rt.state.Load()&stateDraining != 0 }
-
 // Snapshot is a point-in-time observation of a running instance, safe to
 // take from another goroutine.
 type Snapshot struct {
@@ -247,8 +205,6 @@ type Snapshot struct {
 	Gain     float64 // active plan's expected speedup
 	PlanLoss float64 // active plan's expected QoS loss
 	NormPerf float64 // windowed heart rate / target (1.0 = on target)
-	Paused   bool
-	Draining bool
 }
 
 // Snapshot captures the runtime's observable state. The per-round stats
@@ -256,13 +212,7 @@ type Snapshot struct {
 //
 //fleetvet:noalloc
 func (rt *Runtime) Snapshot() Snapshot {
-	st := rt.state.Load()
-	s := Snapshot{
-		Beats:    int(rt.beats.Load()),
-		Gain:     1,
-		Paused:   st&statePaused != 0,
-		Draining: st&stateDraining != 0,
-	}
+	s := Snapshot{Beats: int(rt.beats.Load()), Gain: 1}
 	if !rt.off {
 		rt.mu.Lock()
 		s.Gain = rt.sch.Plan().ExpectedSpeedup()
@@ -281,9 +231,6 @@ type RunSummary struct {
 	MeanPower float64
 	// PerfError is |mean rate − target| / target over the run.
 	PerfError float64
-	// Drained reports that the run ended early because Drain was
-	// requested rather than because the stream was exhausted.
-	Drained bool
 }
 
 // Session is an in-progress controlled pass over one stream, advanced
@@ -296,7 +243,6 @@ type Session struct {
 	start      time.Time
 	startBeats int
 	done       bool
-	drained    bool
 }
 
 // NewSession starts a controlled pass over the stream.
@@ -327,18 +273,14 @@ func (rt *Runtime) StartSession(s *Session, run workload.Run) *Session {
 func (s *Session) Body() workload.Run { return s.run }
 
 // Step executes one iteration (one beat) of the session's stream. It
-// returns done=true when the stream is exhausted or the runtime is
-// draining; stepping a finished session stays done.
+// returns done=true when the stream is exhausted; stepping a finished
+// session stays done.
 func (s *Session) Step() (done bool, err error) {
 	if s.done {
 		return true, nil
 	}
 	rt := s.rt
-	setting, installed, idleRatio, draining := rt.beginBeat()
-	if draining {
-		s.done, s.drained = true, true
-		return true, nil
-	}
+	setting, installed, idleRatio := rt.beginBeat()
 	if !installed {
 		if err := rt.installSetting(setting); err != nil {
 			return false, err
@@ -397,38 +339,12 @@ func (rt *Runtime) finishBeat(setting knobs.Setting) int {
 	return beats
 }
 
-// StepUntil serves beats until the stream is exhausted or the machine's
-// virtual clock reaches deadline, whichever comes first. The final beat
-// may overshoot the deadline (beats are atomic). It reports whether the
-// session finished — an event scheduler uses this to run a session on a
-// time budget and learn the exact virtual completion time from the
-// clock.
-func (s *Session) StepUntil(deadline time.Time) (done bool, err error) {
-	for {
-		if s.done || !s.rt.mach.Clock().Now().Before(deadline) {
-			return s.done, nil
-		}
-		done, err = s.Step()
-		if done || err != nil {
-			return done, err
-		}
-	}
-}
-
 // Abort preempts the session at the current beat boundary: it is marked
-// done (and Drained, since its stream was not exhausted) with whatever
-// output has accumulated, without touching the runtime — subsequent
-// sessions on the same runtime serve normally. The fleet supervisor
-// uses it to abandon an in-flight request when hard-stopping an
-// instance.
-func (s *Session) Abort() {
-	if !s.done {
-		s.done, s.drained = true, true
-	}
-}
-
-// Drained reports whether the session ended early due to Drain or Abort.
-func (s *Session) Drained() bool { return s.drained }
+// done with whatever output has accumulated, without touching the
+// runtime — subsequent sessions on the same runtime serve normally. The
+// fleet supervisor uses it to abandon an in-flight request when
+// hard-stopping an instance or when its host crashes.
+func (s *Session) Abort() { s.done = true }
 
 // Done reports whether the session has finished.
 func (s *Session) Done() bool { return s.done }
@@ -448,7 +364,6 @@ func (s *Session) Summary() RunSummary {
 		Beats:     nbeats,
 		Elapsed:   elapsed,
 		MeanPower: rt.mach.Meter().MeanPower(),
-		Drained:   s.drained,
 	}
 	if elapsed > 0 && nbeats > 0 {
 		rate := float64(nbeats) / elapsed.Seconds()
@@ -480,31 +395,18 @@ func (rt *Runtime) RunStream(st workload.Stream) (RunSummary, error) {
 	return sess.Summary(), nil
 }
 
-// beginBeat is a beat's prologue. It loads the state word once; only
-// when a Pause or Drain is pending does it take rt.mu, to block while
-// paused and to report draining. Otherwise it picks the beat's knob
-// setting from the quantum schedule, whether that setting is already
-// installed, and the schedule's idle ratio, all without a lock: only
-// the goroutine driving the beat writes rt.sch and rt.current.
-func (rt *Runtime) beginBeat() (setting knobs.Setting, installed bool, idleRatio float64, draining bool) {
-	if rt.state.Load() != 0 {
-		rt.mu.Lock()
-		for rt.state.Load() == statePaused {
-			rt.cond.Wait()
-		}
-		draining = rt.state.Load()&stateDraining != 0
-		rt.mu.Unlock()
-		if draining {
-			return nil, false, 0, true
-		}
-	}
+// beginBeat is a beat's prologue. It picks the beat's knob setting from
+// the quantum schedule, whether that setting is already installed, and
+// the schedule's idle ratio, all without a lock: only the goroutine
+// driving the beat writes rt.sch and rt.current.
+func (rt *Runtime) beginBeat() (setting knobs.Setting, installed bool, idleRatio float64) {
 	setting = rt.baseline
 	if !rt.off {
 		setting = rt.sch.Setting(int(rt.beats.Load()) % rt.quantum)
 		idleRatio = rt.sch.IdleRatio()
 	}
 	installed = rt.current != nil && rt.current.Equal(setting)
-	return setting, installed, idleRatio, false
+	return setting, installed, idleRatio
 }
 
 // installSetting applies a setting that differs from the current one

@@ -877,13 +877,12 @@ func (s *Supervisor) landPlace(at time.Time, p placeChange) bool {
 		if inst.retired {
 			return false
 		}
-		// The in-flight session aborts (the runtime's drain flag
-		// guarantees it cannot advance even if stepped again) and the
-		// backlog joins the shared pending queue. A fluid instance
-		// renders its flow up to the stop and leaves the fluid timeline
-		// first, so that backlog is exact.
+		// The in-flight session aborts (the instance retires below, and
+		// serve steps no retired instance) and the backlog joins the
+		// shared pending queue. A fluid instance renders its flow up to
+		// the stop and leaves the fluid timeline first, so that backlog
+		// is exact.
 		inst.accepting = false
-		inst.rt.Drain()
 		s.forceExitFluid(inst, at, false)
 		if inst.sess != nil {
 			inst.sess.Abort()

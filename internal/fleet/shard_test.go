@@ -242,6 +242,24 @@ func TestShardedEngineBitIdenticalSaturated(t *testing.T) {
 		stepRounds(t, engineUnder(sup, workers), NewSpikeLoad(7, 6, 24, 8, 2).WithRequestIters(10), 12)
 		return snapshotDiff(sup)
 	})
+
+	// Staggered drains of two saturated instances put one's retirement
+	// and the other's serve on two drain shards at one instant, so the
+	// cross-shard merge (crossLess) orders them by kind.
+	assertEnginesAgree(t, "staggered-drains", func(workers int) diffResult {
+		sup := newOneGroup(t, Scenario{
+			Machines:        4,
+			CoresPerMachine: 1,
+			Budget:          4 * 180,
+			Workers:         workers,
+			RecordTrace:     true,
+		}, newSlowApp, syntheticProfile(t))
+		insts := startN(t, sup, 4)
+		sup.DrainAt(time.Unix(2, 0).Add(250*time.Millisecond), insts[0])
+		sup.DrainAt(time.Unix(3, 0), insts[1])
+		stepRounds(t, engineUnder(sup, workers), NewSaturatingLoad(2), 6)
+		return snapshotDiff(sup)
+	})
 }
 
 // runFaultDiffScenario drives the fault-laden two-group scenario at the

@@ -200,67 +200,3 @@ func TestHeartbeatLog(t *testing.T) {
 		t.Errorf("window rate = %s, want 10", last[3])
 	}
 }
-
-func TestLoopProfileSelectsHottest(t *testing.T) {
-	p := NewLoopProfile()
-	p.RecordIteration("init", 5)
-	for i := 0; i < 100; i++ {
-		p.RecordIteration("main", 10)
-	}
-	p.RecordIteration("cleanup", 2)
-	loop, err := p.SelectLoop()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loop != "main" {
-		t.Errorf("SelectLoop = %q, want main", loop)
-	}
-	if got := p.Iterations("main"); got != 100 {
-		t.Errorf("Iterations(main) = %d, want 100", got)
-	}
-	if got := p.TotalCost("main"); got != 1000 {
-		t.Errorf("TotalCost(main) = %v, want 1000", got)
-	}
-}
-
-func TestLoopProfileEmpty(t *testing.T) {
-	if _, err := NewLoopProfile().SelectLoop(); err != ErrNoLoops {
-		t.Errorf("err = %v, want ErrNoLoops", err)
-	}
-}
-
-func TestLoopProfileDeterministicTieBreak(t *testing.T) {
-	p := NewLoopProfile()
-	p.RecordIteration("b", 10)
-	p.RecordIteration("a", 10)
-	loops := p.Loops()
-	if len(loops) != 2 || loops[0] != "a" {
-		t.Errorf("Loops = %v, want [a b]", loops)
-	}
-}
-
-func TestAutoInsertBeatsOnlySelectedLoop(t *testing.T) {
-	p := NewLoopProfile()
-	p.RecordIteration("main", 100)
-	p.RecordIteration("helper", 1)
-	m, clk := newTestMonitor(t, 20)
-	ins, err := AutoInsert(p, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		ins.IterationStart("helper")
-		ins.IterationStart("main")
-		clk.Advance(time.Millisecond)
-	}
-	if got := m.Count(); got != 5 {
-		t.Errorf("Count = %d, want 5 (only main-loop beats)", got)
-	}
-}
-
-func TestAutoInsertEmptyProfile(t *testing.T) {
-	m, _ := newTestMonitor(t, 20)
-	if _, err := AutoInsert(NewLoopProfile(), m); err == nil {
-		t.Error("want error for empty profile")
-	}
-}

@@ -1,8 +1,9 @@
 // Package platform simulates the paper's experimental machine (Sec. 5.1):
 // a Dell PowerEdge R410 whose processors expose seven power states with
-// clock frequencies from 2.4 GHz down to 1.6 GHz, measured by a WattsUp
-// meter sampling full-system power at 1-second intervals, with idle power
-// around 90 W and full load up to ~220 W.
+// clock frequencies from 2.4 GHz down to 1.6 GHz, with idle power around
+// 90 W and full load up to ~220 W. The paper reads full-system power from
+// a WattsUp meter in 1-second samples; the emulated meter integrates the
+// same power model exactly and reports whole-run energy and mean power.
 //
 // Applications execute real computation; the machine converts their
 // measured work units into *virtual time* as a function of the current

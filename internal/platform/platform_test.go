@@ -125,35 +125,16 @@ func TestUtilizationAccounting(t *testing.T) {
 	}
 }
 
-func TestMeterSamplesEverySecond(t *testing.T) {
-	m := newTestMachine(t)
-	// 2.5 seconds of full-load execution -> 2 complete samples.
-	m.Execute(2.5 * 2.4 * SpeedPerGHz)
-	samples := m.Meter().Samples()
-	if len(samples) != 2 {
-		t.Fatalf("samples = %d, want 2", len(samples))
-	}
-	want := DefaultPowerModel().Power(2.4, 1)
-	for _, s := range samples {
-		if math.Abs(s-want) > 0.01 {
-			t.Fatalf("sample = %v, want %v", s, want)
-		}
-	}
-}
-
 func TestMeterMixedWindow(t *testing.T) {
 	m := newTestMachine(t)
-	// Half a second busy, half idle: the window mean is the average.
+	// Half a second busy, then a second and a half idle: the mean is
+	// time-weighted across the two states.
 	m.Execute(0.5 * 2.4 * SpeedPerGHz)
-	m.Idle(500 * time.Millisecond)
-	samples := m.Meter().Samples()
-	if len(samples) != 1 {
-		t.Fatalf("samples = %d, want 1", len(samples))
-	}
+	m.Idle(1500 * time.Millisecond)
 	pm := DefaultPowerModel()
-	want := (pm.Power(2.4, 1) + pm.Power(2.4, 0)) / 2
-	if math.Abs(samples[0]-want) > 0.01 {
-		t.Fatalf("mixed sample = %v, want %v", samples[0], want)
+	want := (pm.Power(2.4, 1) + 3*pm.Power(2.4, 0)) / 4
+	if got := m.Meter().MeanPower(); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("mixed mean power = %v, want %v", got, want)
 	}
 }
 
@@ -168,7 +149,7 @@ func TestMeterMeanPowerAndEnergy(t *testing.T) {
 		t.Fatalf("energy = %v, want %v", got, 2*pm.Idle)
 	}
 	m.Meter().Reset()
-	if m.Meter().MeanPower() != 0 || len(m.Meter().Samples()) != 0 {
+	if m.Meter().MeanPower() != 0 || m.Meter().Energy() != 0 {
 		t.Fatal("Reset did not clear meter")
 	}
 }
@@ -337,7 +318,6 @@ func TestMeterConcurrentWithExecute(t *testing.T) {
 	read := make(chan error, 1)
 	go func() {
 		var lastE float64
-		var lastN int
 		lastT := m.Clock().Now()
 		close(started)
 		for {
@@ -349,15 +329,15 @@ func TestMeterConcurrentWithExecute(t *testing.T) {
 			}
 			mt := m.Meter()
 			_ = mt.MeanPower()
-			e, n, now := mt.Energy(), len(mt.Samples()), m.Clock().Now()
+			e, now := mt.Energy(), m.Clock().Now()
 			busy, all := m.Times()
 			_ = m.Frequency()
-			if e < lastE || n < lastN || now.Before(lastT) || busy > all {
-				read <- fmt.Errorf("reader saw the machine go backwards: energy %v→%v, samples %d→%d, clock %v→%v, busy %v > all %v",
-					lastE, e, lastN, n, lastT, now, busy, all)
+			if e < lastE || now.Before(lastT) || busy > all {
+				read <- fmt.Errorf("reader saw the machine go backwards: energy %v→%v, clock %v→%v, busy %v > all %v",
+					lastE, e, lastT, now, busy, all)
 				return
 			}
-			lastE, lastN, lastT = e, n, now
+			lastE, lastT = e, now
 		}
 	}()
 	<-started
@@ -371,8 +351,5 @@ func TestMeterConcurrentWithExecute(t *testing.T) {
 	}
 	if got, want := m.Clock().Now(), alone.Clock().Now(); got != want {
 		t.Fatalf("clock with a concurrent reader = %v, want %v", got, want)
-	}
-	if got, want := len(m.Meter().Samples()), len(alone.Meter().Samples()); got != want || got == 0 {
-		t.Fatalf("samples with a concurrent reader = %d, want %d (> 0)", got, want)
 	}
 }

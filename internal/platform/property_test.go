@@ -10,8 +10,8 @@ import (
 	"repro/internal/clock"
 )
 
-// Property: the meter conserves energy — total joules equal the sum over
-// completed samples plus the open window, for any interleaving of
+// Property: the meter conserves energy — total joules equal the sum of
+// power times duration over every segment, for any interleaving of
 // executions, idles and frequency changes.
 func TestMeterEnergyConservationProperty(t *testing.T) {
 	f := func(seed int64) bool {
